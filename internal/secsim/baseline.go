@@ -278,13 +278,16 @@ func (b *Baseline) OnEvict(homePage, frame int, dirty, present uint64, done func
 		done()
 		return
 	}
-	ctrLeaves := map[int]bool{}
+	// Distinct CXL counter leaves in chunk order: leaf indices grow with
+	// the chunk, so comparing with the last one found dedupes them.
+	var leafBuf [64]int
+	ctrLeaves := leafBuf[:0]
 	for c := 0; c < g.ChunksPerPage(); c++ {
 		if present&(1<<uint(c)) == 0 {
 			continue
 		}
 		chunkHome := pageBase + uint64(c*g.ChunkSize)
-		ctrLeaves[int(chunkHome/b.ctrCoverage())] = true
+		ctrLeaves = appendDistinct(ctrLeaves, int(chunkHome/b.ctrCoverage()))
 	}
 	parts := 3*nPresent + 2 + len(ctrLeaves)
 	aes := sim.Cycle(b.ctx.Cfg.Security.AESLatency) +
@@ -311,7 +314,7 @@ func (b *Baseline) OnEvict(homePage, frame int, dirty, present uint64, done func
 	}
 	b.ctx.CXL.Access(uint64(len(ctrLeaves)*32), stats.Counter, j)
 	b.ctx.CXL.Access(uint64(nPresent*g.BlocksPerChunk()*32), stats.MAC, j)
-	for leaf := range ctrLeaves {
+	for _, leaf := range ctrLeaves {
 		b.ctx.Ops.BMTUpdates++
 		b.cxlTree.Update(leaf, j)
 	}
