@@ -326,6 +326,9 @@ func (c *Cache) PendingMSHR(block Addr) SectorMask {
 // OutstandingMSHRs returns the number of live MSHR entries.
 func (c *Cache) OutstandingMSHRs() int { return len(c.mshrs) }
 
+// MSHRCapacity returns the MSHR file size (0 when the file is disabled).
+func (c *Cache) MSHRCapacity() int { return c.cfg.MSHRs }
+
 // CompleteMSHR fills the block (allocate-on-fill policy, per Table II),
 // releases the MSHR, and invokes the waiters. It returns the fill victim.
 func (c *Cache) CompleteMSHR(block Addr, extra uint64) *Victim {

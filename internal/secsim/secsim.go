@@ -85,6 +85,16 @@ type metaCache struct {
 	c       *cache.Cache
 	class   stats.Class
 	channel int // device channel, or -1 for the CXL side
+
+	// parked holds, in arrival order, the misses that found every MSHR
+	// busy; each MSHR release replays them until the file is full again.
+	parked []parkedFetch
+}
+
+// parkedFetch is a Fetch waiting for a free MSHR.
+type parkedFetch struct {
+	addr, extra uint64
+	done        func(hit bool)
 }
 
 func newMetaCache(ctx *Ctx, sizeKB, ways, mshrs, channel int, class stats.Class) *metaCache {
@@ -132,12 +142,23 @@ func (m *metaCache) Fetch(addr uint64, extra uint64, done func(hit bool)) {
 	case cache.MSHRNew:
 		m.backingAccess(func() {
 			m.writebackVictim(m.c.CompleteMSHR(block, extra))
+			m.wake()
 		})
 	case cache.MSHRMerged:
 		// done will fire with the existing fill.
 	case cache.MSHRFull:
-		// Structural stall: retry after a short backoff.
-		m.ctx.Eng.After(8, func() { m.Fetch(addr, extra, done) })
+		// Structural stall: wait in the replay queue for a free MSHR.
+		m.parked = append(m.parked, parkedFetch{addr, extra, done})
+	}
+}
+
+// wake replays parked misses in arrival order while an MSHR is free. A
+// replayed miss hits, merges or takes a new MSHR; it never parks again.
+func (m *metaCache) wake() {
+	for len(m.parked) > 0 && m.c.OutstandingMSHRs() < m.c.MSHRCapacity() {
+		p := m.parked[0]
+		m.parked = m.parked[1:]
+		m.Fetch(p.addr, p.extra, p.done)
 	}
 }
 

@@ -101,6 +101,45 @@ func TestMetaCacheMSHRMerge(t *testing.T) {
 	}
 }
 
+func TestMetaCacheMSHRFullParksUntilRelease(t *testing.T) {
+	ctx, run := testCtx()
+	mc := newMetaCache(ctx, 2, 4, 2, 0, stats.Counter) // two MSHRs
+	var order []uint64
+	at := map[uint64]sim.Cycle{}
+	ctx.Eng.At(0, func() {
+		for _, addr := range []uint64{0, 32, 64, 96, 0} {
+			a := addr
+			mc.Fetch(a, 0, func(bool) {
+				order = append(order, a)
+				at[a] = ctx.Eng.Now()
+			})
+		}
+	})
+	drain(ctx)
+	// The last fetch of 0 merges into the first miss; 64 and 96 park and
+	// replay, in arrival order, when the first two fills release their
+	// MSHRs.
+	want := []uint64{0, 0, 32, 64, 96}
+	if len(order) != len(want) {
+		t.Fatalf("completions = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("completions = %v, want %v", order, want)
+		}
+	}
+	if at[64] <= at[0] || at[96] <= at[32] {
+		t.Errorf("parked fetches finished before an MSHR freed: %v", at)
+	}
+	// One event per backing read: a parked miss is woken, never polled.
+	if got := ctx.Eng.Fired(); got != 5 {
+		t.Errorf("events fired = %d, want 5 (4 reads + the start)", got)
+	}
+	if got := run.Traffic.Bytes(stats.Device, stats.Counter); got != 4*32 {
+		t.Errorf("counter traffic = %d, want %d", got, 4*32)
+	}
+}
+
 func TestMetaCacheCXLSide(t *testing.T) {
 	ctx, run := testCtx()
 	mc := newMetaCache(ctx, 2, 4, 16, -1, stats.MAC)

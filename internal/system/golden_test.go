@@ -70,12 +70,12 @@ var goldenDigests = map[string]string{
 	"nw/split":            "53f01e39a3ab0035",
 	"nw/salus":            "9369006cce8f6f8e",
 	"nw/nomove":           "32dc5572b7bf918f",
-	"nw/mono":             "91f946cec483253c",
+	"nw/mono":             "386a2007ccec4626",
 	"btree/none":          "90ac01400f4d49d5",
 	"btree/split":         "d6447eeacc8e00c8",
 	"btree/salus":         "9ef772c1eeeb19ef",
 	"btree/nomove":        "1f384ccbae056ba5",
-	"btree/mono":          "3b9724e733d8d867",
+	"btree/mono":          "1283a32f38792ba7",
 	"nw/salus-predictive": "53b5c07da38fe50e",
 }
 
