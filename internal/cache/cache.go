@@ -12,6 +12,8 @@ package cache
 import (
 	"errors"
 	"fmt"
+
+	"github.com/salus-sim/salus/internal/sim"
 )
 
 // Addr is a byte address in the simulated physical address space.
@@ -101,6 +103,7 @@ type Cache struct {
 	sectorsPer int
 	clock      uint64
 	mshrs      map[Addr]*MSHR
+	freeMSHRs  []*MSHR // released entries, reused with their waiter storage
 	stats      Stats
 }
 
@@ -189,15 +192,15 @@ func (c *Cache) Peek(block Addr) (valid, dirty SectorMask, extra uint64, present
 }
 
 // Fill installs sectors of block, allocating (and possibly evicting) a line.
-// extra is stored as the line's caller-managed tag. The returned victim is
-// non-nil when a valid line was displaced.
-func (c *Cache) Fill(block Addr, sectors SectorMask, extra uint64) *Victim {
+// extra is stored as the line's caller-managed tag. evicted reports whether
+// a valid line was displaced; victim describes it.
+func (c *Cache) Fill(block Addr, sectors SectorMask, extra uint64) (victim Victim, evicted bool) {
 	if ln := c.find(block); ln != nil {
 		ln.valid |= sectors
 		ln.extra = extra
 		c.clock++
 		ln.lru = c.clock
-		return nil
+		return Victim{}, false
 	}
 	set := c.sets[c.setIndex(block)]
 	victimIdx := 0
@@ -211,18 +214,17 @@ func (c *Cache) Fill(block Addr, sectors SectorMask, extra uint64) *Victim {
 		}
 	}
 install:
-	var victim *Victim
 	v := &set[victimIdx]
 	if v.inUse {
 		c.stats.Evictions++
-		victim = &Victim{BlockAddr: v.tag, Dirty: v.dirty, Valid: v.valid, Extra: v.extra}
+		victim, evicted = Victim{BlockAddr: v.tag, Dirty: v.dirty, Valid: v.valid, Extra: v.extra}, true
 		if v.dirty != 0 {
 			c.stats.Writebacks++
 		}
 	}
 	c.clock++
 	*v = line{tag: block, valid: sectors, extra: extra, lru: c.clock, inUse: true}
-	return victim
+	return victim, evicted
 }
 
 // MarkDirty marks sectors of a present block dirty. It reports whether the
@@ -246,15 +248,16 @@ func (c *Cache) SetExtra(block Addr, extra uint64) bool {
 	return true
 }
 
-// Invalidate drops a block, returning its victim record if it was present.
-func (c *Cache) Invalidate(block Addr) *Victim {
+// Invalidate drops a block, returning its victim record and whether it
+// was present.
+func (c *Cache) Invalidate(block Addr) (Victim, bool) {
 	ln := c.find(block)
 	if ln == nil {
-		return nil
+		return Victim{}, false
 	}
-	v := &Victim{BlockAddr: ln.tag, Dirty: ln.dirty, Valid: ln.valid, Extra: ln.extra}
+	v := Victim{BlockAddr: ln.tag, Dirty: ln.dirty, Valid: ln.valid, Extra: ln.extra}
 	*ln = line{}
-	return v
+	return v, true
 }
 
 // FlushDirty returns victim records for every dirty line and marks them
@@ -276,8 +279,8 @@ func (c *Cache) FlushDirty() []Victim {
 // MSHR tracks one outstanding miss to a block.
 type MSHR struct {
 	Block   Addr
-	Pending SectorMask // union of requested missing sectors
-	Waiters []func(SectorMask)
+	Pending SectorMask    // union of requested missing sectors
+	Waiters []sim.Handler // fired, in arrival order, when the fill completes
 }
 
 // MSHRStatus is the outcome of an MSHR allocation attempt.
@@ -293,10 +296,10 @@ const (
 )
 
 // AllocateMSHR records an outstanding miss for (block, sectors) and
-// registers onFill to run when the fill completes. With MSHRs disabled
-// (cfg.MSHRs == 0) every allocation reports MSHRNew and completion callbacks
+// registers onFill (may be nil) to fire when the fill completes. With MSHRs
+// disabled (cfg.MSHRs == 0) every allocation reports MSHRNew and waiters
 // still fire on CompleteMSHR.
-func (c *Cache) AllocateMSHR(block Addr, sectors SectorMask, onFill func(SectorMask)) MSHRStatus {
+func (c *Cache) AllocateMSHR(block Addr, sectors SectorMask, onFill sim.Handler) MSHRStatus {
 	if m, ok := c.mshrs[block]; ok {
 		m.Pending |= sectors
 		if onFill != nil {
@@ -307,7 +310,14 @@ func (c *Cache) AllocateMSHR(block Addr, sectors SectorMask, onFill func(SectorM
 	if c.cfg.MSHRs > 0 && len(c.mshrs) >= c.cfg.MSHRs {
 		return MSHRFull
 	}
-	m := &MSHR{Block: block, Pending: sectors}
+	var m *MSHR
+	if n := len(c.freeMSHRs); n > 0 {
+		m = c.freeMSHRs[n-1]
+		c.freeMSHRs = c.freeMSHRs[:n-1]
+	} else {
+		m = &MSHR{}
+	}
+	m.Block, m.Pending = block, sectors
 	if onFill != nil {
 		m.Waiters = append(m.Waiters, onFill)
 	}
@@ -330,16 +340,22 @@ func (c *Cache) OutstandingMSHRs() int { return len(c.mshrs) }
 func (c *Cache) MSHRCapacity() int { return c.cfg.MSHRs }
 
 // CompleteMSHR fills the block (allocate-on-fill policy, per Table II),
-// releases the MSHR, and invokes the waiters. It returns the fill victim.
-func (c *Cache) CompleteMSHR(block Addr, extra uint64) *Victim {
+// releases the MSHR, and fires the waiters. It returns the fill's victim,
+// as Fill does.
+func (c *Cache) CompleteMSHR(block Addr, extra uint64) (victim Victim, evicted bool) {
 	m, ok := c.mshrs[block]
 	if !ok {
-		return nil
+		return Victim{}, false
 	}
 	delete(c.mshrs, block)
-	victim := c.Fill(block, m.Pending, extra)
+	victim, evicted = c.Fill(block, m.Pending, extra)
 	for _, w := range m.Waiters {
-		w(m.Pending)
+		w.Fire()
 	}
-	return victim
+	// The entry left the map before its waiters ran, so none of them
+	// could reach it; recycle it only now.
+	clear(m.Waiters)
+	m.Waiters = m.Waiters[:0]
+	c.freeMSHRs = append(c.freeMSHRs, m)
+	return victim, evicted
 }

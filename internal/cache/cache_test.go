@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/salus-sim/salus/internal/sim"
 )
 
 func smallCfg() Config {
@@ -50,7 +52,7 @@ func TestLookupMissThenFillHit(t *testing.T) {
 	if r.LinePresent || r.Hit != 0 || r.Miss != 0b0011 {
 		t.Fatalf("cold lookup = %+v", r)
 	}
-	if v := c.Fill(0x1000, 0b0011, 7); v != nil {
+	if v, ok := c.Fill(0x1000, 0b0011, 7); ok {
 		t.Fatalf("fill into empty set evicted %+v", v)
 	}
 	r = c.Lookup(0x1000, 0b0001)
@@ -83,8 +85,8 @@ func TestLRUEviction(t *testing.T) {
 	c.Fill(a, 0b1, 0)
 	c.Fill(b, 0b1, 0)
 	c.Lookup(a, 0b1) // make a MRU
-	v := c.Fill(d, 0b1, 0)
-	if v == nil || v.BlockAddr != b {
+	v, ok := c.Fill(d, 0b1, 0)
+	if !ok || v.BlockAddr != b {
 		t.Fatalf("victim = %+v, want block %#x", v, b)
 	}
 	if _, _, _, ok := c.Peek(a); !ok {
@@ -106,8 +108,8 @@ func TestDirtyWriteback(t *testing.T) {
 	}
 	// Force eviction of block 0 by filling its set.
 	c.Fill(128*4, 0b1, 0)
-	v := c.Fill(128*8, 0b1, 0)
-	if v == nil || v.BlockAddr != 0 || v.Dirty != 0b0001 {
+	v, ok := c.Fill(128*8, 0b1, 0)
+	if !ok || v.BlockAddr != 0 || v.Dirty != 0b0001 {
 		t.Fatalf("victim = %+v, want dirty mask 1 on block 0", v)
 	}
 	st := c.Stats()
@@ -123,11 +125,11 @@ func TestInvalidateAndFlush(t *testing.T) {
 	c.Fill(128, 0b11, 6)
 	c.MarkDirty(128, 0b10)
 
-	v := c.Invalidate(0)
-	if v == nil || v.Dirty != 0b01 || v.Extra != 5 {
+	v, ok := c.Invalidate(0)
+	if !ok || v.Dirty != 0b01 || v.Extra != 5 {
 		t.Fatalf("Invalidate = %+v", v)
 	}
-	if c.Invalidate(0) != nil {
+	if _, ok := c.Invalidate(0); ok {
 		t.Error("double Invalidate returned a victim")
 	}
 	flushed := c.FlushDirty()
@@ -156,7 +158,9 @@ func TestSetExtra(t *testing.T) {
 func TestMSHRLifecycle(t *testing.T) {
 	c := New(smallCfg())
 	var filled SectorMask
-	st := c.AllocateMSHR(0, 0b0001, func(m SectorMask) { filled = m })
+	// The waiter reads the line when it fires: the fill must already have
+	// installed every pending sector.
+	st := c.AllocateMSHR(0, 0b0001, sim.Func(func() { filled, _, _, _ = c.Peek(0) }))
 	if st != MSHRNew {
 		t.Fatalf("first allocate = %v, want MSHRNew", st)
 	}
@@ -180,8 +184,33 @@ func TestMSHRLifecycle(t *testing.T) {
 	if r := c.Lookup(0, 0b0011); r.Miss != 0 || r.Extra != 9 {
 		t.Errorf("post-fill lookup = %+v", r)
 	}
-	if c.CompleteMSHR(0x7777, 0) != nil {
+	if _, ok := c.CompleteMSHR(0x7777, 0); ok {
 		t.Error("CompleteMSHR on unknown block returned victim")
+	}
+}
+
+func TestMSHRRecycledWithoutStaleWaiters(t *testing.T) {
+	c := New(smallCfg())
+	fired := 0
+	w := sim.Func(func() { fired++ })
+	c.AllocateMSHR(0, 1, w)
+	c.AllocateMSHR(0, 1, w)
+	c.CompleteMSHR(0, 0)
+	if fired != 2 {
+		t.Fatalf("waiters fired %d times, want 2", fired)
+	}
+	// The recycled entry starts empty: only the new waiter fires.
+	c.AllocateMSHR(128, 1, w)
+	c.CompleteMSHR(128, 0)
+	if fired != 3 {
+		t.Fatalf("waiters fired %d times after reuse, want 3", fired)
+	}
+	var h sim.Handler = w
+	if got := testing.AllocsPerRun(100, func() {
+		c.AllocateMSHR(256, 1, h)
+		c.CompleteMSHR(256, 0)
+	}); got != 0 {
+		t.Errorf("MSHR allocate/complete allocates %.1f times, want 0", got)
 	}
 }
 
@@ -249,7 +278,7 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 func TestFillMergesSectors(t *testing.T) {
 	c := New(smallCfg())
 	c.Fill(0, 0b0001, 0)
-	if v := c.Fill(0, 0b0100, 3); v != nil {
+	if v, ok := c.Fill(0, 0b0100, 3); ok {
 		t.Fatalf("refill same block evicted %+v", v)
 	}
 	valid, _, extra, ok := c.Peek(0)

@@ -29,7 +29,7 @@ func New(eng *sim.Engine, bwNum, bwDen, latency uint64, tr *stats.Traffic) *Memo
 
 // Access submits a transfer of the given size and class over the link and
 // schedules done (may be nil) at completion.
-func (m *Memory) Access(bytes uint64, class stats.Class, done func()) sim.Cycle {
+func (m *Memory) Access(bytes uint64, class stats.Class, done sim.Handler) sim.Cycle {
 	if m.traffic != nil {
 		m.traffic.Add(stats.CXL, class, bytes)
 	}

@@ -75,7 +75,7 @@ func TestCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, 1, 1, 9, nil)
 	var at sim.Cycle
-	eng.At(0, func() { m.Access(1, stats.Data, func() { at = eng.Now() }) })
+	eng.At(0, func() { m.Access(1, stats.Data, sim.Func(func() { at = eng.Now() })) })
 	eng.Run(0)
 	if at != 10 {
 		t.Errorf("callback at %d, want 10", at)

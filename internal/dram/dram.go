@@ -54,7 +54,7 @@ func (m *Memory) ChannelFor(addr uint64) int {
 
 // Access submits a request of the given size and class to the channel
 // owning addr, and schedules done (may be nil) at completion time.
-func (m *Memory) Access(addr uint64, bytes uint64, class stats.Class, done func()) sim.Cycle {
+func (m *Memory) Access(addr uint64, bytes uint64, class stats.Class, done sim.Handler) sim.Cycle {
 	ch := m.channels[m.ChannelFor(addr)]
 	if m.traffic != nil {
 		m.traffic.Add(stats.Device, class, bytes)
@@ -64,7 +64,7 @@ func (m *Memory) Access(addr uint64, bytes uint64, class stats.Class, done func(
 
 // AccessChannel submits directly to a channel index (used for metadata that
 // is addressed per-partition rather than by global address).
-func (m *Memory) AccessChannel(channel int, bytes uint64, class stats.Class, done func()) sim.Cycle {
+func (m *Memory) AccessChannel(channel int, bytes uint64, class stats.Class, done sim.Handler) sim.Cycle {
 	ch := m.channels[channel%len(m.channels)]
 	if m.traffic != nil {
 		m.traffic.Add(stats.Device, class, bytes)

@@ -73,7 +73,7 @@ func TestCallbackFires(t *testing.T) {
 	m := New(eng, 1, 32, 5, 256, nil)
 	fired := sim.Cycle(0)
 	eng.At(0, func() {
-		m.Access(0, 64, stats.Data, func() { fired = eng.Now() })
+		m.Access(0, 64, stats.Data, sim.Func(func() { fired = eng.Now() }))
 	})
 	eng.Run(0)
 	if fired != 7 { // 64B at 32B/cycle = 2 cycles + 5 latency

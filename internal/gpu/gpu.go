@@ -12,14 +12,16 @@ package gpu
 
 import (
 	"github.com/salus-sim/salus/internal/config"
+	"github.com/salus-sim/salus/internal/memreq"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/sim"
 	"github.com/salus-sim/salus/internal/trace"
 )
 
-// Issuer sends one memory access into the memory system and calls done at
-// completion time.
-type Issuer func(gpc int, addr securemem.HomeAddr, write bool, done func())
+// Issuer sends one memory access into the memory system. It must fire r
+// (directly or through the engine) exactly once, at completion time;
+// r's top continuation is the lane's completion.
+type Issuer func(r *memreq.Request)
 
 // Stream is the access source an SM executes: either a synthetic
 // generator (*trace.Stream) or a replayed file (*trace.FileStream).
@@ -41,6 +43,7 @@ type GPU struct {
 	finish   sim.Cycle
 	onFinish func()
 	started  bool
+	reqs     sim.Pool[memreq.Request]
 }
 
 type sm struct {
@@ -52,8 +55,10 @@ type sm struct {
 
 	lanes       int // live lanes
 	outstanding int
-	slotWaiters []func()
+	slotWaiters memreq.Queue // issued accesses awaiting a slot
 	exhausted   bool
+
+	issuedFn, doneFn memreq.Cont // continuations, bound once
 }
 
 // New builds a GPU whose SM i executes streams[i]. The issuer delivers
@@ -61,14 +66,16 @@ type sm struct {
 func New(eng *sim.Engine, cfg config.GPU, streams []Stream, issuer Issuer) *GPU {
 	g := &GPU{eng: eng, cfg: cfg, issuer: issuer}
 	for i, st := range streams {
-		g.sms = append(g.sms, &sm{
+		s := &sm{
 			g:           g,
 			id:          i,
 			gpc:         i / cfg.SMsPerGPC,
 			issue:       sim.NewServer(eng, 1, uint64(cfg.NonMemIPC), 0),
 			stream:      st,
 			computeCost: uint64(st.ComputePerMem() + 1),
-		})
+		}
+		s.issuedFn, s.doneFn = s.issued, s.memDone
+		g.sms = append(g.sms, s)
 	}
 	return g
 }
@@ -118,39 +125,48 @@ func (s *sm) laneStep() {
 		s.laneDone()
 		return
 	}
-	s.issue.Submit(s.computeCost, func() {
-		s.g.instrs += s.computeCost
-		s.acquireSlot(func() {
-			s.g.memReqs++
-			write := acc.Write
-			s.g.issuer(s.gpc, securemem.HomeAddr(acc.Addr), write, func() {
-				s.releaseSlot()
-				if !write {
-					s.laneStep()
-				}
-			})
-			if write {
-				// Posted store: the lane proceeds without waiting.
-				s.laneStep()
-			}
-		})
-	})
+	r := s.g.reqs.Get()
+	r.Home, r.Write, r.GPC = securemem.HomeAddr(acc.Addr), acc.Write, s.gpc
+	r.Push(s.issuedFn)
+	s.issue.Submit(s.computeCost, r)
 }
 
-func (s *sm) acquireSlot(fn func()) {
+// issued runs when the issue pipe retired the lane's batch.
+func (s *sm) issued(r *memreq.Request) {
+	s.g.instrs += s.computeCost
 	if s.outstanding < s.g.cfg.MaxOutstanding {
 		s.outstanding++
-		fn()
+		s.startMem(r)
 		return
 	}
-	s.slotWaiters = append(s.slotWaiters, fn)
+	s.slotWaiters.Push(r)
+}
+
+// startMem sends an access that holds an outstanding-request slot.
+func (s *sm) startMem(r *memreq.Request) {
+	s.g.memReqs++
+	write := r.Write
+	r.Push(s.doneFn)
+	s.g.issuer(r)
+	if write {
+		// Posted store: the lane proceeds without waiting.
+		s.laneStep()
+	}
+}
+
+// memDone runs when the memory system completed an access.
+func (s *sm) memDone(r *memreq.Request) {
+	write := r.Write
+	s.g.reqs.Put(r)
+	s.releaseSlot()
+	if !write {
+		s.laneStep()
+	}
 }
 
 func (s *sm) releaseSlot() {
-	if len(s.slotWaiters) > 0 {
-		fn := s.slotWaiters[0]
-		s.slotWaiters = s.slotWaiters[1:]
-		fn()
+	if r := s.slotWaiters.Pop(); r != nil {
+		s.startMem(r)
 		return
 	}
 	s.outstanding--

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"github.com/salus-sim/salus/internal/config"
-	"github.com/salus-sim/salus/internal/securemem"
+	"github.com/salus-sim/salus/internal/memreq"
 	"github.com/salus-sim/salus/internal/sim"
 	"github.com/salus-sim/salus/internal/trace"
 )
@@ -36,9 +36,9 @@ func makeStreams(t *testing.T, cfg config.GPU, accessesPerSM int, writeFrac floa
 // immediateIssuer completes every access after a fixed delay.
 func immediateIssuer(eng *sim.Engine, delay sim.Cycle) (Issuer, *int) {
 	count := 0
-	return func(gpc int, addr securemem.HomeAddr, write bool, done func()) {
+	return func(r *memreq.Request) {
 		count++
-		eng.After(delay, done)
+		eng.Schedule(eng.Now()+delay, r)
 	}, &count
 }
 
@@ -114,14 +114,14 @@ func TestMaxOutstandingRespected(t *testing.T) {
 	cfg.WarpsPerSM = 8                      // more lanes than slots
 	streams := makeStreams(t, cfg, 40, 1.0) // all writes: posted, slot-bound
 	inFlight, maxInFlight := 0, 0
-	issuer := func(gpc int, addr securemem.HomeAddr, write bool, done func()) {
+	issuer := func(r *memreq.Request) {
 		inFlight++
 		if inFlight > maxInFlight {
 			maxInFlight = inFlight
 		}
 		eng.After(20, func() {
 			inFlight--
-			done()
+			r.Fire()
 		})
 	}
 	g := New(eng, cfg, streams, issuer)
@@ -143,9 +143,9 @@ func TestGPCAssignment(t *testing.T) {
 	cfg.SMsPerGPC = 2
 	streams := makeStreams(t, cfg, 10, 0)
 	gpcs := map[int]bool{}
-	issuer := func(gpc int, addr securemem.HomeAddr, write bool, done func()) {
-		gpcs[gpc] = true
-		eng.After(1, done)
+	issuer := func(r *memreq.Request) {
+		gpcs[r.GPC] = true
+		eng.Schedule(eng.Now()+1, r)
 	}
 	g := New(eng, cfg, streams, issuer)
 	g.Start(nil)
@@ -157,7 +157,7 @@ func TestGPCAssignment(t *testing.T) {
 
 func TestEmptyGPU(t *testing.T) {
 	eng := sim.NewEngine()
-	g := New(eng, testGPUCfg(), nil, func(int, securemem.HomeAddr, bool, func()) {})
+	g := New(eng, testGPUCfg(), nil, func(*memreq.Request) {})
 	fired := false
 	g.Start(func() { fired = true })
 	if !fired || !g.Done() {
@@ -167,7 +167,7 @@ func TestEmptyGPU(t *testing.T) {
 
 func TestStartTwicePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	g := New(eng, testGPUCfg(), nil, func(int, securemem.HomeAddr, bool, func()) {})
+	g := New(eng, testGPUCfg(), nil, func(*memreq.Request) {})
 	g.Start(nil)
 	defer func() {
 		if recover() == nil {
@@ -175,4 +175,37 @@ func TestStartTwicePanics(t *testing.T) {
 		}
 	}()
 	g.Start(nil)
+}
+
+func TestIssuerSeesStreamAccesses(t *testing.T) {
+	// Every request carries its access's home address and write flag,
+	// exactly as the stream produced them.
+	cfg := testGPUCfg()
+	var want []trace.Access
+	for _, st := range makeStreams(t, cfg, 30, 0.5) {
+		for {
+			a, ok := st.Next()
+			if !ok {
+				break
+			}
+			want = append(want, a)
+		}
+	}
+	eng := sim.NewEngine()
+	seen := map[trace.Access]int{}
+	issuer := func(r *memreq.Request) {
+		seen[trace.Access{Addr: uint64(r.Home), Write: r.Write}]++
+		eng.Schedule(eng.Now()+5, r)
+	}
+	g := New(eng, cfg, makeStreams(t, cfg, 30, 0.5), issuer)
+	g.Start(nil)
+	eng.Run(0)
+	for _, a := range want {
+		seen[a]--
+	}
+	for a, n := range seen {
+		if n != 0 {
+			t.Errorf("access %+v issued %d times more than streamed", a, n)
+		}
+	}
 }

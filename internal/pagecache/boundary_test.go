@@ -41,7 +41,7 @@ func TestAccessAddressBoundaries(t *testing.T) {
 			}
 			p := probes[i]
 			homeAddr := securemem.HomePageAddr(p.page, pageSize, p.off)
-			pc.Access(homeAddr, false, func(devAddr securemem.DevAddr) {
+			pc.Access(req(homeAddr, false, func(devAddr securemem.DevAddr) {
 				if got := devAddr.Frame(pageSize); got != p.wantFrame {
 					t.Errorf("%s: frame = %d, want %d", p.name, got, p.wantFrame)
 				}
@@ -55,7 +55,7 @@ func TestAccessAddressBoundaries(t *testing.T) {
 					t.Errorf("%s: home offset %#x != device offset %#x", p.name, got, want)
 				}
 				step(i + 1)
-			})
+			}))
 		}
 		step(0)
 	})
@@ -66,22 +66,22 @@ func TestAccessAddressBoundaries(t *testing.T) {
 	// invariants must survive re-targeting.
 	eng.At(eng.Now()+1, func() {
 		const off = pageSize - 1 // last byte of the last chunk
-		pc.Access(securemem.HomePageAddr(2, pageSize, off), true, func(devAddr securemem.DevAddr) {
+		pc.Access(req(securemem.HomePageAddr(2, pageSize, off), true, func(devAddr securemem.DevAddr) {
 			if got := devAddr.PageOffset(pageSize); got != off {
 				t.Errorf("page2 after eviction: device offset = %#x, want %#x", got, off)
 			}
 			if f := devAddr.Frame(pageSize); f != 0 && f != 1 {
 				t.Errorf("page2: impossible frame %d", f)
 			}
-			pc.Access(securemem.HomePageAddr(3, pageSize, 0), true, func(devAddr2 securemem.DevAddr) {
+			pc.Access(req(securemem.HomePageAddr(3, pageSize, 0), true, func(devAddr2 securemem.DevAddr) {
 				if got := devAddr2.PageOffset(pageSize); got != 0 {
 					t.Errorf("page3 after eviction: device offset = %#x, want 0", got)
 				}
 				if devAddr2.Frame(pageSize) == devAddr.Frame(pageSize) {
 					t.Error("pages 2 and 3 share a frame while both resident")
 				}
-			})
-		})
+			}))
+		}))
 	})
 	eng.Run(0)
 }
@@ -97,12 +97,12 @@ func TestAccessChunkBoundaryStraddle(t *testing.T) {
 
 	var before, after securemem.DevAddr
 	eng.At(0, func() {
-		pc.Access(securemem.HomePageAddr(0, pageSize, chunkSize-1), false, func(d securemem.DevAddr) {
+		pc.Access(req(securemem.HomePageAddr(0, pageSize, chunkSize-1), false, func(d securemem.DevAddr) {
 			before = d
-			pc.Access(securemem.HomePageAddr(0, pageSize, chunkSize), false, func(d2 securemem.DevAddr) {
+			pc.Access(req(securemem.HomePageAddr(0, pageSize, chunkSize), false, func(d2 securemem.DevAddr) {
 				after = d2
-			})
-		})
+			}))
+		}))
 	})
 	eng.Run(0)
 	if after != before+1 {

@@ -16,6 +16,7 @@ import (
 	"github.com/salus-sim/salus/internal/cxlmem"
 	"github.com/salus-sim/salus/internal/dram"
 	"github.com/salus-sim/salus/internal/link"
+	"github.com/salus-sim/salus/internal/memreq"
 	"github.com/salus-sim/salus/internal/secsim"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/sim"
@@ -68,13 +69,14 @@ type PageCache struct {
 	pageToFrame []int
 	lruClock    uint64
 
-	// pageWaiters holds callbacks per home page awaiting an in-flight fill.
-	pageWaiters map[int][]func(frame int)
-	// chunkWaiters holds accesses blocked on an in-flight chunk fill,
+	// pageWaiters holds, per home page, the requests awaiting an
+	// in-flight fill.
+	pageWaiters []memreq.Queue
+	// chunkWaiters holds requests blocked on an in-flight chunk fill,
 	// keyed by frame*chunksPerPage+chunk.
-	chunkWaiters map[int][]func()
+	chunkWaiters map[int]memreq.Queue
 	// frameWaiters holds fills blocked on a free frame.
-	frameWaiters   []func(frame int)
+	frameWaiters   sim.Queue[*fill]
 	freeFrames     []int
 	lowWater       int
 	inFlightEvicts int
@@ -91,6 +93,11 @@ type PageCache struct {
 	// evictNotifier, when set, is told about each page leaving the device
 	// tier (the interconnect uses it for directed mapping invalidation).
 	evictNotifier func(homePage int)
+
+	fills      sim.Pool[fill]
+	evicts     sim.Pool[evict]
+	chunkFills sim.Pool[chunkFill]
+	finishFn   memreq.Cont // continuation, bound once
 }
 
 // New builds a page cache with the given number of device frames over a
@@ -112,11 +119,12 @@ func New(eng *sim.Engine, geo config.Geometry, device *dram.Memory, cxl *cxlmem.
 		ops:          ops,
 		frames:       make([]frameState, frames),
 		pageToFrame:  make([]int, totalPages),
-		pageWaiters:  make(map[int][]func(int)),
-		chunkWaiters: make(map[int][]func()),
+		pageWaiters:  make([]memreq.Queue, totalPages),
+		chunkWaiters: make(map[int]memreq.Queue),
 		lowWater:     2,
 		history:      make(map[int]uint64),
 	}
+	pc.finishFn = pc.finish
 	if pc.lowWater > frames/2 {
 		pc.lowWater = 1
 	}
@@ -153,7 +161,7 @@ const linkRetryCycles = 64
 // link model first when one is attached. Refusals reschedule the whole
 // transfer; a degraded link charges its latency surcharge to the event
 // clock before the memory access issues.
-func (pc *PageCache) cxlTransfer(bytes uint64, class stats.Class, done func()) {
+func (pc *PageCache) cxlTransfer(bytes uint64, class stats.Class, done sim.Handler) {
 	if pc.lnk == nil {
 		pc.cxl.Access(bytes, class, done)
 		return
@@ -191,158 +199,214 @@ func (pc *PageCache) Resident(homePage int) bool {
 	return fi >= 0 && pc.frames[fi].status == frameResident
 }
 
-// Access routes one data access: it guarantees the page is resident, marks
-// the touched/dirty masks, and calls done with the device address of the
-// access. The call to done may be immediate (page already resident) or
-// deferred behind a page fill.
-func (pc *PageCache) Access(homeAddr securemem.HomeAddr, write bool, done func(devAddr securemem.DevAddr)) {
-	page := homeAddr.Page(pc.geo.PageSize)
+// Access routes one data access: it guarantees the page of r.Home is
+// resident, marks the touched/dirty masks, sets r.Dev to the device
+// address of the access and fires r. The firing may be immediate (page
+// already resident) or deferred behind a page fill.
+func (pc *PageCache) Access(r *memreq.Request) {
+	page := r.Home.Page(pc.geo.PageSize)
 	if page >= len(pc.pageToFrame) {
 		panic(fmt.Sprintf("pagecache: access to page %d beyond home space", page))
 	}
-	chunk := int(homeAddr.PageOffset(pc.geo.PageSize)) / pc.geo.ChunkSize
-	complete := func(frame int) {
-		f := &pc.frames[frame]
-		pc.lruClock++
-		f.lru = pc.lruClock
-		finish := func() {
-			// The frame may have been evicted (and even re-targeted)
-			// while a demand chunk fill was in flight; marking bits on
-			// the new occupant would corrupt its state, so refault.
-			if f.homePage != page || f.status != frameResident {
-				pc.Access(homeAddr, write, done)
-				return
-			}
-			f.touched |= 1 << uint(chunk)
-			if write {
-				f.dirty |= 1 << uint(chunk)
-			}
-			done(securemem.FrameAddr(frame, pc.geo.PageSize, homeAddr.PageOffset(pc.geo.PageSize)))
-		}
-		if f.present&(1<<uint(chunk)) != 0 {
-			finish()
-			return
-		}
-		// Predictive mode: the chunk was not part of the prefetched
-		// footprint — fill it on demand.
-		pc.fillChunk(frame, page, chunk, finish)
-	}
 	switch fi := pc.pageToFrame[page]; {
 	case fi >= 0 && pc.frames[fi].status == frameResident:
-		complete(fi)
+		r.Frame = fi
+		pc.complete(r)
 	case fi >= 0 || fi == fillPending:
 		// A fill is already in flight (with or without a frame assigned).
-		pc.pageWaiters[page] = append(pc.pageWaiters[page], complete)
+		pc.pageWaiters[page].Push(r)
 	default:
-		pc.pageWaiters[page] = append(pc.pageWaiters[page], complete)
+		pc.pageWaiters[page].Push(r)
 		pc.fault(page)
 	}
+}
+
+// complete serves a request whose page is resident in frame r.Frame.
+func (pc *PageCache) complete(r *memreq.Request) {
+	f := &pc.frames[r.Frame]
+	pc.lruClock++
+	f.lru = pc.lruClock
+	chunk := pc.chunkOf(r)
+	if f.present&(1<<uint(chunk)) != 0 {
+		pc.finish(r)
+		return
+	}
+	// Predictive mode: the chunk was not part of the prefetched
+	// footprint — fill it on demand.
+	r.Push(pc.finishFn)
+	pc.fillChunk(r.Frame, r.Home.Page(pc.geo.PageSize), chunk, r)
+}
+
+// finish marks the access in its frame and returns the request.
+func (pc *PageCache) finish(r *memreq.Request) {
+	f := &pc.frames[r.Frame]
+	// The frame may have been evicted (and even re-targeted) while a
+	// demand chunk fill was in flight; marking bits on the new occupant
+	// would corrupt its state, so refault.
+	if f.homePage != r.Home.Page(pc.geo.PageSize) || f.status != frameResident {
+		pc.Access(r)
+		return
+	}
+	chunk := pc.chunkOf(r)
+	f.touched |= 1 << uint(chunk)
+	if r.Write {
+		f.dirty |= 1 << uint(chunk)
+	}
+	r.Dev = securemem.FrameAddr(r.Frame, pc.geo.PageSize, r.Home.PageOffset(pc.geo.PageSize))
+	r.Fire()
+}
+
+func (pc *PageCache) chunkOf(r *memreq.Request) int {
+	return int(r.Home.PageOffset(pc.geo.PageSize)) / pc.geo.ChunkSize
 }
 
 // fillPending marks a page whose fill has been requested but not yet
 // assigned a frame.
 const fillPending = -2
 
+// fill is one page migration in flight. The data movement (the footprint
+// over the CXL link, chunks landing on their interleaved device channels)
+// and the security work proceed in parallel; the fill completes when both
+// have.
+type fill struct {
+	pc          *PageCache
+	page, frame int
+	mask        uint64
+	nChunks     int
+	pending     int // data movement + security work
+	secLeft     int // predictive per-chunk security work outstanding
+	dataLeft    int // chunk writes into device channels outstanding
+}
+
+// Fire records the data movement's or the security work's completion.
+func (f *fill) Fire() {
+	f.pending--
+	if f.pending == 0 {
+		pc, page, frame := f.pc, f.page, f.frame
+		pc.fills.Put(f)
+		pc.fillComplete(page, frame)
+	}
+}
+
+// fillSec is a fill's per-chunk security work arriving.
+type fillSec fill
+
+func (s *fillSec) Fire() {
+	s.secLeft--
+	if s.secLeft == 0 {
+		(*fill)(s).Fire()
+	}
+}
+
+// fillXfer is a fill's link transfer arriving: the chunks land in their
+// device channels.
+type fillXfer fill
+
+func (x *fillXfer) Fire() {
+	f := (*fill)(x)
+	pc := f.pc
+	f.dataLeft = f.nChunks
+	for c := 0; c < pc.geo.ChunksPerPage(); c++ {
+		if f.mask&(1<<uint(c)) == 0 {
+			continue
+		}
+		devAddr := uint64(f.frame*pc.geo.PageSize + c*pc.geo.ChunkSize)
+		pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, (*fillData)(f))
+	}
+}
+
+// fillData is one chunk write of a fill arriving.
+type fillData fill
+
+func (d *fillData) Fire() {
+	d.dataLeft--
+	if d.dataLeft == 0 {
+		(*fill)(d).Fire()
+	}
+}
+
 // fault initiates the migration of a home page into some frame.
 func (pc *PageCache) fault(page int) {
 	pc.pageToFrame[page] = fillPending
-	pc.withFreeFrame(func(frame int) {
-		f := &pc.frames[frame]
-		f.status = frameFilling
-		f.homePage = page
-		f.dirty, f.touched, f.present = 0, 0, 0
-		pc.pageToFrame[page] = frame
-		pc.ops.PagesMigratedIn++
+	f := pc.fills.Get()
+	f.pc, f.page = pc, page
+	pc.withFreeFrame(f)
+	pc.maintainFreeSpace()
+}
 
-		// Choose the fill footprint: the whole page, or (predictive mode)
-		// the chunks the page's previous residency touched. A first-time
-		// page has no history and prefetches nothing; the faulting access
-		// fills its chunk on demand after the fill completes.
-		fillMask := uint64(1)<<uint(pc.geo.ChunksPerPage()) - 1
-		if pc.mode == Predictive {
-			fillMask = pc.history[page]
-		}
-		f.present = fillMask
-		nChunks := popcount(fillMask)
-		pc.ops.ChunksMigrated += uint64(nChunks)
+// startFill begins a fill that has been given its frame.
+func (pc *PageCache) startFill(fl *fill) {
+	page, frame := fl.page, fl.frame
+	f := &pc.frames[frame]
+	f.status = frameFilling
+	f.homePage = page
+	f.dirty, f.touched, f.present = 0, 0, 0
+	pc.pageToFrame[page] = frame
+	pc.ops.PagesMigratedIn++
 
-		// The data movement (the footprint over the CXL link, chunks
-		// landing on their interleaved device channels) and the security
-		// work proceed in parallel; the fill completes when both have.
-		pending := 2
-		complete := func() {
-			pending--
-			if pending == 0 {
-				pc.fillComplete(page, frame)
-			}
-		}
-		if pc.mode == Predictive {
-			// Chunk-proportional security work.
-			j := nChunks
-			if j == 0 {
-				complete()
-			} else {
-				for c := 0; c < pc.geo.ChunksPerPage(); c++ {
-					if fillMask&(1<<uint(c)) == 0 {
-						continue
-					}
-					pc.sec.OnChunkFill(page, frame, c, func() {
-						j--
-						if j == 0 {
-							complete()
-						}
-					})
-				}
-			}
-		} else {
-			pc.sec.OnMigrateIn(page, frame, complete)
-		}
+	// Choose the fill footprint: the whole page, or (predictive mode)
+	// the chunks the page's previous residency touched. A first-time
+	// page has no history and prefetches nothing; the faulting access
+	// fills its chunk on demand after the fill completes.
+	fillMask := uint64(1)<<uint(pc.geo.ChunksPerPage()) - 1
+	if pc.mode == Predictive {
+		fillMask = pc.history[page]
+	}
+	f.present = fillMask
+	nChunks := popcount(fillMask)
+	pc.ops.ChunksMigrated += uint64(nChunks)
+	fl.mask, fl.nChunks = fillMask, nChunks
+
+	fl.pending = 2
+	if pc.mode == Predictive {
+		// Chunk-proportional security work.
+		fl.secLeft = nChunks
 		if nChunks == 0 {
-			complete()
-			return
-		}
-		pc.cxlTransfer(uint64(nChunks*pc.geo.ChunkSize), stats.Data, func() {
-			remaining := nChunks
+			fl.Fire()
+		} else {
 			for c := 0; c < pc.geo.ChunksPerPage(); c++ {
 				if fillMask&(1<<uint(c)) == 0 {
 					continue
 				}
-				devAddr := uint64(frame*pc.geo.PageSize + c*pc.geo.ChunkSize)
-				pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, func() {
-					remaining--
-					if remaining == 0 {
-						complete()
-					}
-				})
+				pc.sec.OnChunkFill(page, frame, c, (*fillSec)(fl))
 			}
-		})
-	})
-	pc.maintainFreeSpace()
+		}
+	} else {
+		pc.sec.OnMigrateIn(page, frame, fl)
+	}
+	if nChunks == 0 {
+		fl.Fire()
+		return
+	}
+	pc.cxlTransfer(uint64(nChunks*pc.geo.ChunkSize), stats.Data, (*fillXfer)(fl))
 }
 
 func (pc *PageCache) fillComplete(page, frame int) {
 	pc.frames[frame].status = frameResident
+	// Detach the waiter list first: a waiter that refaults this page
+	// queues behind the next fill, not this one.
 	waiters := pc.pageWaiters[page]
-	delete(pc.pageWaiters, page)
-	for _, w := range waiters {
-		w(frame)
+	pc.pageWaiters[page] = memreq.Queue{}
+	for r := waiters.Pop(); r != nil; r = waiters.Pop() {
+		r.Frame = frame
+		pc.complete(r)
 	}
 	// Fills queued behind a frame shortage can only be unblocked by an
 	// eviction, and this frame just became evictable: re-kick the evictor.
-	if len(pc.frameWaiters) > 0 {
+	if pc.frameWaiters.Len() > 0 {
 		pc.maintainFreeSpace()
 	}
 }
 
-// withFreeFrame invokes fn with a free frame, now or when one frees up.
-func (pc *PageCache) withFreeFrame(fn func(frame int)) {
+// withFreeFrame starts fl in a free frame, now or when one frees up.
+func (pc *PageCache) withFreeFrame(fl *fill) {
 	if n := len(pc.freeFrames); n > 0 {
-		frame := pc.freeFrames[n-1]
+		fl.frame = pc.freeFrames[n-1]
 		pc.freeFrames = pc.freeFrames[:n-1]
-		fn(frame)
+		pc.startFill(fl)
 		return
 	}
-	pc.frameWaiters = append(pc.frameWaiters, fn)
+	pc.frameWaiters.Push(fl)
 	pc.maintainFreeSpace()
 }
 
@@ -350,7 +414,7 @@ func (pc *PageCache) withFreeFrame(fn func(frame int)) {
 // frames free (or becoming free), as the paper's mapping discussion
 // assumes ("evictions from the GPU memory may occur in the background").
 func (pc *PageCache) maintainFreeSpace() {
-	for len(pc.freeFrames)+pc.inFlightEvicts < pc.lowWater+len(pc.frameWaiters) {
+	for len(pc.freeFrames)+pc.inFlightEvicts < pc.lowWater+pc.frameWaiters.Len() {
 		victim := pc.lruResident()
 		if victim < 0 {
 			return
@@ -370,6 +434,38 @@ func (pc *PageCache) lruResident() int {
 		}
 	}
 	return best
+}
+
+// evict is one frame writeback in flight. The data writeback and the
+// model's eviction security work overlap; the frame frees when both
+// complete.
+type evict struct {
+	pc       *PageCache
+	frame    int
+	nChunks  int
+	pending  int // data writeback + security work
+	dataLeft int // chunk reads out of device channels outstanding
+}
+
+func (e *evict) Fire() {
+	e.pending--
+	if e.pending == 0 {
+		pc, frame := e.pc, e.frame
+		pc.evicts.Put(e)
+		pc.inFlightEvicts--
+		pc.frameFreed(frame)
+	}
+}
+
+// evictData is one chunk read of an eviction arriving; the last one sends
+// the aggregated transfer over the CXL link.
+type evictData evict
+
+func (d *evictData) Fire() {
+	d.dataLeft--
+	if d.dataLeft == 0 {
+		d.pc.cxlTransfer(uint64(d.nChunks*d.pc.geo.ChunkSize), stats.Data, (*evict)(d))
+	}
 }
 
 // startEvict writes a frame's data back per the security model's
@@ -393,42 +489,24 @@ func (pc *PageCache) startEvict(frame int) {
 	if pc.sec.FineGrainedWriteback() {
 		writeMask = f.dirty
 	}
-	nChunks := 0
-	for m := writeMask; m != 0; m &= m - 1 {
-		nChunks++
-	}
+	nChunks := popcount(writeMask)
 	pc.ops.ChunksWrittenBack += uint64(nChunks)
 
-	// The data writeback and the model's eviction security work overlap;
-	// the frame frees when both complete.
-	dirty, present := f.dirty, f.present
-	pending := 2
-	complete := func() {
-		pending--
-		if pending == 0 {
-			pc.inFlightEvicts--
-			pc.frameFreed(frame)
-		}
-	}
-	pc.sec.OnEvict(page, frame, dirty, present, complete)
+	ev := pc.evicts.Get()
+	ev.pc, ev.frame, ev.nChunks, ev.pending, ev.dataLeft = pc, frame, nChunks, 2, nChunks
+	pc.sec.OnEvict(page, frame, f.dirty, f.present, ev)
 	if nChunks == 0 {
-		complete()
+		ev.Fire()
 		return
 	}
 	// Data movement: read the chunks from their device channels, then one
 	// aggregated transfer over the CXL link.
-	remaining := nChunks
 	for c := 0; c < pc.geo.ChunksPerPage(); c++ {
 		if writeMask&(1<<uint(c)) == 0 {
 			continue
 		}
 		devAddr := uint64(frame*pc.geo.PageSize + c*pc.geo.ChunkSize)
-		pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, func() {
-			remaining--
-			if remaining == 0 {
-				pc.cxlTransfer(uint64(nChunks*pc.geo.ChunkSize), stats.Data, complete)
-			}
-		})
+		pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, (*evictData)(ev))
 	}
 }
 
@@ -437,11 +515,11 @@ func (pc *PageCache) frameFreed(frame int) {
 	f.status = frameFree
 	f.homePage = -1
 	f.dirty, f.touched, f.present, f.pins = 0, 0, 0, 0
-	if len(pc.frameWaiters) > 0 {
-		fn := pc.frameWaiters[0]
-		pc.frameWaiters = pc.frameWaiters[1:]
-		fn(frame)
-		if len(pc.frameWaiters) > 0 {
+	if pc.frameWaiters.Len() > 0 {
+		fl := pc.frameWaiters.Pop()
+		fl.frame = frame
+		pc.startFill(fl)
+		if pc.frameWaiters.Len() > 0 {
 			pc.maintainFreeSpace()
 		}
 		return
@@ -459,45 +537,67 @@ func (pc *PageCache) DirtyMask(homePage int) uint64 {
 	return pc.frames[fi].dirty
 }
 
-// fillChunk fills one chunk on demand (predictive mode): data over the
-// link plus the chunk-proportional security work. Concurrent accesses to
-// the same in-flight chunk merge.
-func (pc *PageCache) fillChunk(frame, page, chunk int, done func()) {
-	key := frame*pc.geo.ChunksPerPage() + chunk
-	if waiters, ok := pc.chunkWaiters[key]; ok {
-		pc.chunkWaiters[key] = append(waiters, done)
+// chunkFill is one demand chunk fill in flight (predictive mode): data
+// over the link and into the device channel, plus the chunk-proportional
+// security work.
+type chunkFill struct {
+	pc           *PageCache
+	frame, chunk int
+	key          int
+	pending      int
+}
+
+func (cf *chunkFill) Fire() {
+	cf.pending--
+	if cf.pending != 0 {
 		return
 	}
-	pc.chunkWaiters[key] = []func(){done}
+	pc, frame, chunk, key := cf.pc, cf.frame, cf.chunk, cf.key
+	pc.chunkFills.Put(cf)
+	f := &pc.frames[frame]
+	f.pins--
+	f.present |= 1 << uint(chunk)
+	waiters := pc.chunkWaiters[key]
+	delete(pc.chunkWaiters, key)
+	for r := waiters.Pop(); r != nil; r = waiters.Pop() {
+		r.Fire()
+	}
+	// An eviction may have been waiting for the pin to drop.
+	if f.pins == 0 && pc.frameWaiters.Len() > 0 {
+		pc.maintainFreeSpace()
+	}
+}
+
+// chunkFillXfer is a chunk fill's link transfer arriving.
+type chunkFillXfer chunkFill
+
+func (x *chunkFillXfer) Fire() {
+	cf := (*chunkFill)(x)
+	pc := cf.pc
+	devAddr := uint64(cf.frame*pc.geo.PageSize + cf.chunk*pc.geo.ChunkSize)
+	pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, cf)
+}
+
+// fillChunk fills one chunk on demand (predictive mode): data over the
+// link plus the chunk-proportional security work. Concurrent accesses to
+// the same in-flight chunk merge; r fires when the chunk is present.
+func (pc *PageCache) fillChunk(frame, page, chunk int, r *memreq.Request) {
+	key := frame*pc.geo.ChunksPerPage() + chunk
+	waiters, inFlight := pc.chunkWaiters[key]
+	waiters.Push(r)
+	pc.chunkWaiters[key] = waiters
+	if inFlight {
+		return
+	}
 	pc.ops.ChunksMigrated++
 	// Pin the frame so the evictor cannot recycle it while the fill is in
 	// flight; otherwise waiters would complete against a stale mapping.
 	pc.frames[frame].pins++
 
-	pending := 2
-	complete := func() {
-		pending--
-		if pending != 0 {
-			return
-		}
-		f := &pc.frames[frame]
-		f.pins--
-		f.present |= 1 << uint(chunk)
-		waiters := pc.chunkWaiters[key]
-		delete(pc.chunkWaiters, key)
-		for _, w := range waiters {
-			w()
-		}
-		// An eviction may have been waiting for the pin to drop.
-		if f.pins == 0 && len(pc.frameWaiters) > 0 {
-			pc.maintainFreeSpace()
-		}
-	}
-	devAddr := uint64(frame*pc.geo.PageSize + chunk*pc.geo.ChunkSize)
-	pc.cxlTransfer(uint64(pc.geo.ChunkSize), stats.Data, func() {
-		pc.device.Access(devAddr, uint64(pc.geo.ChunkSize), stats.Data, complete)
-	})
-	pc.sec.OnChunkFill(page, frame, chunk, complete)
+	cf := pc.chunkFills.Get()
+	cf.pc, cf.frame, cf.chunk, cf.key, cf.pending = pc, frame, chunk, key, 2
+	pc.cxlTransfer(uint64(pc.geo.ChunkSize), stats.Data, (*chunkFillXfer)(cf))
+	pc.sec.OnChunkFill(page, frame, chunk, cf)
 }
 
 func popcount(x uint64) int {

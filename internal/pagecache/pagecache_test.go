@@ -8,6 +8,7 @@ import (
 	"github.com/salus-sim/salus/internal/cxlmem"
 	"github.com/salus-sim/salus/internal/dram"
 	"github.com/salus-sim/salus/internal/link"
+	"github.com/salus-sim/salus/internal/memreq"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/sim"
 	"github.com/salus-sim/salus/internal/stats"
@@ -23,17 +24,29 @@ type fakeSec struct {
 	lastPresent uint64
 }
 
-func (f *fakeSec) Name() string                                                   { return "fake" }
-func (f *fakeSec) OnRead(h securemem.HomeAddr, d securemem.DevAddr, done func())  { done() }
-func (f *fakeSec) OnWrite(h securemem.HomeAddr, d securemem.DevAddr, done func()) { done() }
-func (f *fakeSec) OnMigrateIn(p, fr int, done func())                             { f.migrates++; done() }
-func (f *fakeSec) OnChunkFill(p, fr, c int, done func())                          { f.chunkFills++; done() }
-func (f *fakeSec) FineGrainedWriteback() bool                                     { return f.fine }
-func (f *fakeSec) OnEvict(p, fr int, dirty, present uint64, done func()) {
+func (f *fakeSec) Name() string { return "fake" }
+func (f *fakeSec) OnRead(h securemem.HomeAddr, d securemem.DevAddr, done sim.Handler) {
+	done.Fire()
+}
+func (f *fakeSec) OnWrite(h securemem.HomeAddr, d securemem.DevAddr, done sim.Handler) {
+	done.Fire()
+}
+func (f *fakeSec) OnMigrateIn(p, fr int, done sim.Handler)    { f.migrates++; done.Fire() }
+func (f *fakeSec) OnChunkFill(p, fr, c int, done sim.Handler) { f.chunkFills++; done.Fire() }
+func (f *fakeSec) FineGrainedWriteback() bool                 { return f.fine }
+func (f *fakeSec) OnEvict(p, fr int, dirty, present uint64, done sim.Handler) {
 	f.evicts++
 	f.lastDirty = dirty
 	f.lastPresent = present
-	done()
+	done.Fire()
+}
+
+// req builds a request whose completion calls done with the device
+// address the page cache resolved.
+func req(home securemem.HomeAddr, write bool, done func(securemem.DevAddr)) *memreq.Request {
+	r := &memreq.Request{Home: home, Write: write}
+	r.Push(func(r *memreq.Request) { done(r.Dev) })
+	return r
 }
 
 func testSetup(fine bool, frames, totalPages int) (*sim.Engine, *PageCache, *fakeSec, *stats.Run) {
@@ -71,14 +84,14 @@ func TestFaultThenResidentAccess(t *testing.T) {
 	var first, second sim.Cycle
 	var devAddr1, devAddr2 securemem.DevAddr
 	eng.At(0, func() {
-		pc.Access(4096+64, false, func(d securemem.DevAddr) {
+		pc.Access(req(4096+64, false, func(d securemem.DevAddr) {
 			first = eng.Now()
 			devAddr1 = d
-			pc.Access(4096+64, false, func(d2 securemem.DevAddr) {
+			pc.Access(req(4096+64, false, func(d2 securemem.DevAddr) {
 				second = eng.Now()
 				devAddr2 = d2
-			})
-		})
+			}))
+		}))
 	})
 	eng.Run(0)
 	if first == 0 {
@@ -109,7 +122,7 @@ func TestConcurrentFaultsMerge(t *testing.T) {
 	done := 0
 	eng.At(0, func() {
 		for i := 0; i < 5; i++ {
-			pc.Access(securemem.HomeAddr(8192+i*32), false, func(securemem.DevAddr) { done++ })
+			pc.Access(req(securemem.HomeAddr(8192+i*32), false, func(securemem.DevAddr) { done++ }))
 		}
 	})
 	eng.Run(0)
@@ -123,7 +136,7 @@ func TestConcurrentFaultsMerge(t *testing.T) {
 
 func TestMigrationDataTraffic(t *testing.T) {
 	eng, pc, _, run := testSetup(true, 4, 16)
-	eng.At(0, func() { pc.Access(0, false, func(securemem.DevAddr) {}) })
+	eng.At(0, func() { pc.Access(req(0, false, func(securemem.DevAddr) {})) })
 	eng.Run(0)
 	if got := run.Traffic.Bytes(stats.CXL, stats.Data); got != 4096 {
 		t.Errorf("CXL data = %d, want 4096", got)
@@ -138,13 +151,13 @@ func TestEvictionFineGrained(t *testing.T) {
 	eng.At(0, func() {
 		// Write one chunk of page 0, then touch pages 1..3 to force
 		// eviction of page 0 (2 frames, low-water keeps evicting).
-		pc.Access(256, true, func(securemem.DevAddr) {
-			pc.Access(4096, false, func(securemem.DevAddr) {
-				pc.Access(8192, false, func(securemem.DevAddr) {
-					pc.Access(12288, false, func(securemem.DevAddr) {})
-				})
-			})
-		})
+		pc.Access(req(256, true, func(securemem.DevAddr) {
+			pc.Access(req(4096, false, func(securemem.DevAddr) {
+				pc.Access(req(8192, false, func(securemem.DevAddr) {
+					pc.Access(req(12288, false, func(securemem.DevAddr) {}))
+				}))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if sec.evicts == 0 {
@@ -163,13 +176,13 @@ func TestEvictionFineGrained(t *testing.T) {
 func TestEvictionPageGranular(t *testing.T) {
 	eng, pc, sec, run := testSetup(false, 2, 16)
 	eng.At(0, func() {
-		pc.Access(256, true, func(securemem.DevAddr) {
-			pc.Access(4096, false, func(securemem.DevAddr) {
-				pc.Access(8192, false, func(securemem.DevAddr) {
-					pc.Access(12288, false, func(securemem.DevAddr) {})
-				})
-			})
-		})
+		pc.Access(req(256, true, func(securemem.DevAddr) {
+			pc.Access(req(4096, false, func(securemem.DevAddr) {
+				pc.Access(req(8192, false, func(securemem.DevAddr) {
+					pc.Access(req(12288, false, func(securemem.DevAddr) {}))
+				}))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if sec.evicts == 0 {
@@ -185,15 +198,15 @@ func TestEvictionPageGranular(t *testing.T) {
 func TestDirtyMaskPassedToEngine(t *testing.T) {
 	eng, pc, sec, _ := testSetup(true, 2, 16)
 	eng.At(0, func() {
-		pc.Access(0, true, func(securemem.DevAddr) { // chunk 0 dirty
-			pc.Access(512, true, func(securemem.DevAddr) { // chunk 2 dirty
-				pc.Access(4096, false, func(securemem.DevAddr) {
-					pc.Access(8192, false, func(securemem.DevAddr) {
-						pc.Access(12288, false, func(securemem.DevAddr) {})
-					})
-				})
-			})
-		})
+		pc.Access(req(0, true, func(securemem.DevAddr) { // chunk 0 dirty
+			pc.Access(req(512, true, func(securemem.DevAddr) { // chunk 2 dirty
+				pc.Access(req(4096, false, func(securemem.DevAddr) {
+					pc.Access(req(8192, false, func(securemem.DevAddr) {
+						pc.Access(req(12288, false, func(securemem.DevAddr) {}))
+					}))
+				}))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if sec.evicts == 0 {
@@ -216,10 +229,10 @@ func TestThrashingManyPagesFewFrames(t *testing.T) {
 		if pg >= 64 {
 			return
 		}
-		pc.Access(securemem.HomeAddr(pg*4096), false, func(securemem.DevAddr) {
+		pc.Access(req(securemem.HomeAddr(pg*4096), false, func(securemem.DevAddr) {
 			done++
 			visit(pg + 1)
-		})
+		}))
 	}
 	eng.At(0, func() { visit(0) })
 	eng.Run(0)
@@ -238,16 +251,16 @@ func TestRefaultAfterEviction(t *testing.T) {
 	eng, pc, sec, _ := testSetup(true, 2, 16)
 	var last securemem.DevAddr
 	eng.At(0, func() {
-		pc.Access(0, false, func(securemem.DevAddr) {
-			pc.Access(4096, false, func(securemem.DevAddr) {
-				pc.Access(8192, false, func(securemem.DevAddr) {
-					pc.Access(12288, false, func(securemem.DevAddr) {
+		pc.Access(req(0, false, func(securemem.DevAddr) {
+			pc.Access(req(4096, false, func(securemem.DevAddr) {
+				pc.Access(req(8192, false, func(securemem.DevAddr) {
+					pc.Access(req(12288, false, func(securemem.DevAddr) {
 						// Page 0 evicted by now; access refaults.
-						pc.Access(0, false, func(d securemem.DevAddr) { last = d + 1 })
-					})
-				})
-			})
-		})
+						pc.Access(req(0, false, func(d securemem.DevAddr) { last = d + 1 }))
+					}))
+				}))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if last == 0 {
@@ -272,7 +285,7 @@ func TestPredictiveModeFirstVisitDemandFills(t *testing.T) {
 	eng.At(0, func() {
 		// First visit: no history, so nothing prefetches; the access
 		// demand-fills exactly one chunk.
-		pc.Access(256, false, func(securemem.DevAddr) { done++ })
+		pc.Access(req(256, false, func(securemem.DevAddr) { done++ }))
 	})
 	eng.Run(0)
 	if done != 1 {
@@ -300,25 +313,25 @@ func TestPredictiveModeHistoryPrefetch(t *testing.T) {
 		// Visit page 0 touching chunks 0 and 3, evict it by touching
 		// pages 1-3, then refault page 0: the predictor prefetches the
 		// remembered footprint {0,3}.
-		pc.Access(0, false, func(securemem.DevAddr) {
-			pc.Access(768, false, func(securemem.DevAddr) {
-				pc.Access(4096, false, func(securemem.DevAddr) {
-					pc.Access(8192, false, func(securemem.DevAddr) {
-						pc.Access(12288, false, func(securemem.DevAddr) {
+		pc.Access(req(0, false, func(securemem.DevAddr) {
+			pc.Access(req(768, false, func(securemem.DevAddr) {
+				pc.Access(req(4096, false, func(securemem.DevAddr) {
+					pc.Access(req(8192, false, func(securemem.DevAddr) {
+						pc.Access(req(12288, false, func(securemem.DevAddr) {
 							base := run.Ops.ChunksMigrated
-							pc.Access(0, false, func(securemem.DevAddr) {
+							pc.Access(req(0, false, func(securemem.DevAddr) {
 								// The refault prefetched 2 chunks; this
 								// access hit one of them (no extra fill).
 								if got := run.Ops.ChunksMigrated - base; got != 2 {
 									t.Errorf("refault migrated %d chunks, want 2", got)
 								}
 								seq++
-							})
-						})
-					})
-				})
-			})
-		})
+							}))
+						}))
+					}))
+				}))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if seq != 1 {
@@ -332,13 +345,13 @@ func TestPredictiveEvictionWritesOnlyPresent(t *testing.T) {
 	eng, pc, sec, _ := testSetup(false, 2, 16)
 	pc.SetMode(Predictive)
 	eng.At(0, func() {
-		pc.Access(0, true, func(securemem.DevAddr) {
-			pc.Access(4096, false, func(securemem.DevAddr) {
-				pc.Access(8192, false, func(securemem.DevAddr) {
-					pc.Access(12288, false, func(securemem.DevAddr) {})
-				})
-			})
-		})
+		pc.Access(req(0, true, func(securemem.DevAddr) {
+			pc.Access(req(4096, false, func(securemem.DevAddr) {
+				pc.Access(req(8192, false, func(securemem.DevAddr) {
+					pc.Access(req(12288, false, func(securemem.DevAddr) {}))
+				}))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if sec.evicts == 0 {
@@ -353,13 +366,13 @@ func TestPredictiveEvictionWritesOnlyPresent(t *testing.T) {
 func TestWholePageModePresentIsFull(t *testing.T) {
 	eng, pc, sec, _ := testSetup(false, 2, 16)
 	eng.At(0, func() {
-		pc.Access(0, true, func(securemem.DevAddr) {
-			pc.Access(4096, false, func(securemem.DevAddr) {
-				pc.Access(8192, false, func(securemem.DevAddr) {
-					pc.Access(12288, false, func(securemem.DevAddr) {})
-				})
-			})
-		})
+		pc.Access(req(0, true, func(securemem.DevAddr) {
+			pc.Access(req(4096, false, func(securemem.DevAddr) {
+				pc.Access(req(8192, false, func(securemem.DevAddr) {
+					pc.Access(req(12288, false, func(securemem.DevAddr) {}))
+				}))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if sec.evicts == 0 {
@@ -384,12 +397,12 @@ func TestRandomAccessSequenceInvariants(t *testing.T) {
 				addr := securemem.HomeAddr(r) % (16 * 4096)
 				write := writeBits&(1<<uint(i%64)) != 0
 				wantOff := addr.PageOffset(4096)
-				pc.Access(addr, write, func(devAddr securemem.DevAddr) {
+				pc.Access(req(addr, write, func(devAddr securemem.DevAddr) {
 					completions++
 					if devAddr.PageOffset(4096) != wantOff {
 						ok = false
 					}
-				})
+				}))
 			}
 		})
 		eng.Run(0)
@@ -423,7 +436,7 @@ func TestRandomAccessSequencePredictive(t *testing.T) {
 			for i, r := range raw {
 				addr := securemem.HomeAddr(r) % (16 * 4096)
 				write := writeBits&(1<<uint(i%64)) != 0
-				pc.Access(addr, write, func(securemem.DevAddr) { completions++ })
+				pc.Access(req(addr, write, func(securemem.DevAddr) { completions++ }))
 			}
 		})
 		eng.Run(0)
@@ -452,7 +465,7 @@ func TestLinkOutageRetriesMigration(t *testing.T) {
 	pc.SetLink(link.New(plan, link.Config{Threshold: 10, Cooldown: 1}))
 
 	done := false
-	eng.At(0, func() { pc.Access(0, false, func(securemem.DevAddr) { done = true }) })
+	eng.At(0, func() { pc.Access(req(0, false, func(securemem.DevAddr) { done = true })) })
 	eng.Run(0)
 	if !done {
 		t.Fatal("access never completed across the outage")
@@ -474,7 +487,7 @@ func TestLinkOutageRetriesMigration(t *testing.T) {
 
 func TestLinkBrownoutChargesLatency(t *testing.T) {
 	engBase, pcBase, _, _ := testSetup(false, 2, 4)
-	engBase.At(0, func() { pcBase.Access(0, false, func(securemem.DevAddr) {}) })
+	engBase.At(0, func() { pcBase.Access(req(0, false, func(securemem.DevAddr) {})) })
 	engBase.Run(0)
 	baseline := engBase.Now()
 
@@ -485,7 +498,7 @@ func TestLinkBrownoutChargesLatency(t *testing.T) {
 	}
 	pc.SetLink(link.New(plan, link.DefaultConfig()))
 	done := false
-	eng.At(0, func() { pc.Access(0, false, func(securemem.DevAddr) { done = true }) })
+	eng.At(0, func() { pc.Access(req(0, false, func(securemem.DevAddr) { done = true })) })
 	eng.Run(0)
 	if !done {
 		t.Fatal("access never completed under brownout")
@@ -510,12 +523,12 @@ func TestLinkOutageRetriesEviction(t *testing.T) {
 
 	completions := 0
 	eng.At(0, func() {
-		pc.Access(0, true, func(securemem.DevAddr) { completions++ })
-		pc.Access(4096, true, func(securemem.DevAddr) { completions++ })
+		pc.Access(req(0, true, func(securemem.DevAddr) { completions++ }))
+		pc.Access(req(4096, true, func(securemem.DevAddr) { completions++ }))
 	})
 	eng.Run(0)
 	eng.At(eng.Now()+1, func() {
-		pc.Access(2*4096, true, func(securemem.DevAddr) { completions++ })
+		pc.Access(req(2*4096, true, func(securemem.DevAddr) { completions++ }))
 	})
 	eng.Run(0)
 	if completions != 3 {

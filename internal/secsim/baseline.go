@@ -49,6 +49,9 @@ type Baseline struct {
 	totalBytes         uint64
 	devBMTCaches       []*metaCache
 	cxlBMTCache        *metaCache
+
+	// Fetch continuations, bound once.
+	readCtr, writeCtr, writeMAC func(l *leg)
 }
 
 // Conventional metadata coverage: one 32-byte counter sector covers 1 KiB
@@ -74,6 +77,7 @@ func (b *Baseline) ctrCoverage() uint64 {
 // capacity (frames × page size); totalBytes is the home space size.
 func NewBaseline(ctx *Ctx, devBytes, totalBytes uint64) *Baseline {
 	b := &Baseline{ctx: ctx}
+	b.readCtr, b.writeCtr, b.writeMAC = b.readCtrFetched, b.writeCtrFetched, b.writeMACFetched
 	ch := ctx.Cfg.Memory.DeviceChannels
 	sec := ctx.Cfg.Security
 	b.devBytesPerChannel = devBytes / uint64(ch)
@@ -136,49 +140,69 @@ func (b *Baseline) devMeta(devAddr DevAddr) (ch int, ctrAddr uint64, ctrLeaf int
 
 // OnRead implements Engine: fetch the counter (verifying freshness on a
 // counter-cache miss) and the MAC in parallel, then pay the MAC latency.
-func (b *Baseline) OnRead(homeAddr HomeAddr, devAddr DevAddr, done func()) {
+func (b *Baseline) OnRead(homeAddr HomeAddr, devAddr DevAddr, done sim.Handler) {
 	ch, ctrAddr, ctrLeaf, macAddr := b.devMeta(devAddr)
 	b.ctx.Ops.MACVerifies++
-	j := join(2, func() {
-		b.ctx.Eng.After(sim.Cycle(b.ctx.Cfg.Security.MACLatency), done)
-	})
-	b.ctrCaches[ch].Fetch(ctrAddr, 0, func(hit bool) {
-		if hit {
-			j()
-			return
-		}
-		b.ctx.Ops.BMTVerifies++
-		b.devTrees[ch].Verify(ctrLeaf, j)
-	})
-	b.macCaches[ch].Fetch(macAddr, 0, func(bool) { j() })
+	o := b.ctx.newOp(done).withTail(sim.Cycle(b.ctx.Cfg.Security.MACLatency))
+	o.ch, o.leaf = ch, ctrLeaf
+	o.start(2)
+	o.ctr.then, o.mac.then = b.readCtr, joinLeg
+	b.ctrCaches[ch].Fetch(ctrAddr, 0, &o.ctr)
+	b.macCaches[ch].Fetch(macAddr, 0, &o.mac)
+}
+
+// readCtrFetched joins a cached counter at once; a missed one is
+// freshness-verified first.
+func (b *Baseline) readCtrFetched(l *leg) {
+	o := l.op
+	if l.hit {
+		o.Fire()
+		return
+	}
+	b.ctx.Ops.BMTVerifies++
+	b.devTrees[o.ch].Verify(o.leaf, o)
 }
 
 // OnWrite implements Engine: bump the counter (dirty in cache), refresh
 // the tree path, and produce a new MAC (dirty in cache). The store is
 // posted: done fires when the counter is available, since the OTP for the
 // write can be generated as soon as the counter is known.
-func (b *Baseline) OnWrite(homeAddr HomeAddr, devAddr DevAddr, done func()) {
+func (b *Baseline) OnWrite(homeAddr HomeAddr, devAddr DevAddr, done sim.Handler) {
 	ch, ctrAddr, ctrLeaf, macAddr := b.devMeta(devAddr)
 	b.ctx.Ops.Encryptions++
 	b.ctx.Ops.MACComputes++
-	b.ctrCaches[ch].Fetch(ctrAddr, 0, func(bool) {
-		b.ctrCaches[ch].MarkDirty(ctrAddr)
-		b.ctx.Ops.BMTUpdates++
-		b.devTrees[ch].Update(ctrLeaf, func() {})
-		done()
-	})
-	b.macCaches[ch].Fetch(macAddr, 0, func(bool) {
-		b.macCaches[ch].MarkDirty(macAddr)
-	})
+	o := b.ctx.newOp(done)
+	o.ch, o.leaf, o.ctrAddr, o.macAddr = ch, ctrLeaf, ctrAddr, macAddr
+	o.start(2) // both fetches must land before the op is recycled
+	o.ctr.then, o.mac.then = b.writeCtr, b.writeMAC
+	b.ctrCaches[ch].Fetch(ctrAddr, 0, &o.ctr)
+	b.macCaches[ch].Fetch(macAddr, 0, &o.mac)
+}
+
+func (b *Baseline) writeCtrFetched(l *leg) {
+	o := l.op
+	b.ctrCaches[o.ch].MarkDirty(o.ctrAddr)
+	b.ctx.Ops.BMTUpdates++
+	b.devTrees[o.ch].Update(o.leaf, nil)
+	done := o.done
+	o.done = nil
+	fire(done)
+	o.Fire()
+}
+
+func (b *Baseline) writeMACFetched(l *leg) {
+	o := l.op
+	b.macCaches[o.ch].MarkDirty(o.macAddr)
+	o.Fire()
 }
 
 // OnMigrateIn implements Engine. Security work for moving one page from
 // CXL to the device tier: read + verify the page's CXL counters and MACs,
 // decrypt, re-encrypt everything under device counters, install device
 // counters + MACs, refresh the device trees.
-func (b *Baseline) OnMigrateIn(homePage, frame int, done func()) {
+func (b *Baseline) OnMigrateIn(homePage, frame int, done sim.Handler) {
 	if b.SkipRelocationWork {
-		done()
+		fire(done)
 		return
 	}
 	g := b.ctx.Cfg.Geometry
@@ -195,7 +219,8 @@ func (b *Baseline) OnMigrateIn(homePage, frame int, done func()) {
 	parts := 2 + nCtr + 3*g.ChunksPerPage()
 	aes := sim.Cycle(b.ctx.Cfg.Security.AESLatency) +
 		sim.Cycle(uint64(g.SectorsPerPage()/b.ctx.Cfg.Memory.DeviceChannels))
-	j := join(parts, func() { b.ctx.Eng.After(aes, done) })
+	j := b.ctx.newOp(done).withTail(aes)
+	j.start(parts)
 
 	b.ctx.Ops.ReEncryptions += uint64(g.SectorsPerPage())
 	b.ctx.Ops.Decryptions += uint64(g.SectorsPerPage())
@@ -227,9 +252,9 @@ func (b *Baseline) OnMigrateIn(homePage, frame int, done func()) {
 // migration security work — read + verify the chunk's CXL counter sector
 // and MAC sectors, decrypt, re-encrypt under device counters, write the
 // device-side metadata, refresh the trees.
-func (b *Baseline) OnChunkFill(homePage, frame, chunk int, done func()) {
+func (b *Baseline) OnChunkFill(homePage, frame, chunk int, done sim.Handler) {
 	if b.SkipRelocationWork {
-		done()
+		fire(done)
 		return
 	}
 	g := b.ctx.Cfg.Geometry
@@ -239,7 +264,8 @@ func (b *Baseline) OnChunkFill(homePage, frame, chunk int, done func()) {
 
 	parts := 5 // CXL ctr + CXL MAC + CXL tree verify + device writes + device tree
 	aes := sim.Cycle(b.ctx.Cfg.Security.AESLatency) + sim.Cycle(uint64(g.SectorsPerChunk()))
-	j := join(parts, func() { b.ctx.Eng.After(aes, done) })
+	j := b.ctx.newOp(done).withTail(aes)
+	j.start(parts)
 
 	b.ctx.Ops.ReEncryptions += uint64(g.SectorsPerChunk())
 	b.ctx.Ops.Decryptions += uint64(g.SectorsPerChunk())
@@ -259,9 +285,9 @@ func (b *Baseline) OnChunkFill(homePage, frame, chunk int, done func()) {
 // device-side counters and MACs are read (and freshness-verified), every
 // sector is decrypted and re-encrypted under CXL counters, and CXL-side
 // counters + MACs are produced with their tree paths refreshed.
-func (b *Baseline) OnEvict(homePage, frame int, dirty, present uint64, done func()) {
+func (b *Baseline) OnEvict(homePage, frame int, dirty, present uint64, done sim.Handler) {
 	if b.SkipRelocationWork {
-		done()
+		fire(done)
 		return
 	}
 	g := b.ctx.Cfg.Geometry
@@ -275,7 +301,7 @@ func (b *Baseline) OnEvict(homePage, frame int, dirty, present uint64, done func
 	// sectors.
 	nPresent := popcount(present)
 	if nPresent == 0 {
-		done()
+		fire(done)
 		return
 	}
 	// Distinct CXL counter leaves in chunk order: leaf indices grow with
@@ -292,7 +318,8 @@ func (b *Baseline) OnEvict(homePage, frame int, dirty, present uint64, done func
 	parts := 3*nPresent + 2 + len(ctrLeaves)
 	aes := sim.Cycle(b.ctx.Cfg.Security.AESLatency) +
 		sim.Cycle(uint64(nPresent*g.SectorsPerChunk()/b.ctx.Cfg.Memory.DeviceChannels+1))
-	j := join(parts, func() { b.ctx.Eng.After(aes, done) })
+	j := b.ctx.newOp(done).withTail(aes)
+	j.start(parts)
 
 	moved := uint64(nPresent * g.SectorsPerChunk())
 	b.ctx.Ops.ReEncryptions += moved

@@ -43,6 +43,10 @@ type Salus struct {
 	// Residency-scoped lazy-fetch state, indexed by frame.
 	macIn []uint64 // per-block "MAC sector present on device side" mask
 	ctrIn []uint64 // per-chunk "counter group initialised" mask
+
+	// Continuations, bound once.
+	lazyMAC, metaCtr, metaMAC func(l *leg)
+	writeReady                func(o *op)
 }
 
 // Salus metadata coverage constants: one interleaving-friendly counter
@@ -65,6 +69,7 @@ func NewSalus(ctx *Ctx, devBytes, totalBytes uint64, frames int) *Salus {
 		macIn:            make([]uint64, frames),
 		ctrIn:            make([]uint64, frames),
 	}
+	s.lazyMAC, s.metaCtr, s.metaMAC, s.writeReady = s.lazyMACArrived, s.ctrFetched, s.macFetched, s.writeMetaReady
 	ch := ctx.Cfg.Memory.DeviceChannels
 	sec := ctx.Cfg.Security
 	perChan := devBytes / uint64(ch)
@@ -114,11 +119,12 @@ func (s *Salus) frameGeom(devAddr DevAddr) (frame, chunkInPage, blockInPage int)
 
 // ensureChunkMeta makes the counter group and the accessed block's MAC
 // sector available on the device side, fetching the MAC sector (with its
-// embedded major) from CXL on first access. It calls done when both are
-// available.
-func (s *Salus) ensureChunkMeta(homeAddr HomeAddr, devAddr DevAddr, write bool, done func()) {
+// embedded major) from CXL on first access. The operation o joins once
+// both are available.
+func (s *Salus) ensureChunkMeta(devAddr DevAddr, o *op) {
 	frame, cip, bip := s.frameGeom(devAddr)
 	ch, ctrAddr, ctrLeaf, macAddr := s.devMeta(devAddr)
+	o.ch, o.leaf, o.frame, o.ctrAddr, o.macAddr = ch, ctrLeaf, frame, ctrAddr, macAddr
 
 	needMAC := s.macIn[frame]&(1<<uint(bip)) == 0
 	needCtr := s.ctrIn[frame]&(1<<uint(cip)) == 0
@@ -128,65 +134,79 @@ func (s *Salus) ensureChunkMeta(homeAddr HomeAddr, devAddr DevAddr, write bool, 
 		// chunk's major is embedded in it, so no counter traffic occurs.
 		s.ctx.Ops.MACFetchesLazy++
 		s.macIn[frame] |= 1 << uint(bip)
-		first := needCtr
+		o.first = needCtr
 		s.ctrIn[frame] |= 1 << uint(cip)
-		s.ctx.CXL.Access(32, stats.MAC, func() {
-			// Install the MAC sector (dirty only when this access writes)
-			// and, on the chunk's first touch, the reconstructed counter
-			// group, then refresh the device tree path over the counters.
-			s.macCaches[ch].Install(macAddr, uint64(frame))
-			if first {
-				s.ctrCaches[ch].Install(ctrAddr, uint64(frame))
-				s.ctx.Ops.BMTUpdates++
-				s.devTrees[ch].Update(ctrLeaf, done)
-				return
-			}
-			done()
-		})
+		o.start(1)
+		o.mac.then = s.lazyMAC
+		s.ctx.CXL.Access(32, stats.MAC, &o.mac)
 		return
 	}
 
 	// Steady state: both metadata come from the device-side hierarchy.
-	j := join(2, done)
-	s.ctrCaches[ch].Fetch(ctrAddr, uint64(frame), func(hit bool) {
-		if write {
-			s.ctrCaches[ch].MarkDirty(ctrAddr)
-		}
-		if hit {
-			j()
-			return
-		}
-		s.ctx.Ops.BMTVerifies++
-		s.devTrees[ch].Verify(ctrLeaf, j)
-	})
-	s.macCaches[ch].Fetch(macAddr, uint64(frame), func(bool) {
-		if write {
-			s.macCaches[ch].MarkDirty(macAddr)
-		}
-		j()
-	})
+	o.start(2)
+	o.ctr.then, o.mac.then = s.metaCtr, s.metaMAC
+	s.ctrCaches[ch].Fetch(ctrAddr, uint64(frame), &o.ctr)
+	s.macCaches[ch].Fetch(macAddr, uint64(frame), &o.mac)
+}
+
+// lazyMACArrived installs the MAC sector (dirty only when this access
+// writes) and, on the chunk's first touch, the reconstructed counter
+// group, then refreshes the device tree path over the counters.
+func (s *Salus) lazyMACArrived(l *leg) {
+	o := l.op
+	s.macCaches[o.ch].Install(o.macAddr, uint64(o.frame))
+	if o.first {
+		s.ctrCaches[o.ch].Install(o.ctrAddr, uint64(o.frame))
+		s.ctx.Ops.BMTUpdates++
+		s.devTrees[o.ch].Update(o.leaf, o)
+		return
+	}
+	o.Fire()
+}
+
+func (s *Salus) ctrFetched(l *leg) {
+	o := l.op
+	if o.write {
+		s.ctrCaches[o.ch].MarkDirty(o.ctrAddr)
+	}
+	if l.hit {
+		o.Fire()
+		return
+	}
+	s.ctx.Ops.BMTVerifies++
+	s.devTrees[o.ch].Verify(o.leaf, o)
+}
+
+func (s *Salus) macFetched(l *leg) {
+	o := l.op
+	if o.write {
+		s.macCaches[o.ch].MarkDirty(o.macAddr)
+	}
+	o.Fire()
 }
 
 // OnRead implements Engine.
-func (s *Salus) OnRead(homeAddr HomeAddr, devAddr DevAddr, done func()) {
+func (s *Salus) OnRead(homeAddr HomeAddr, devAddr DevAddr, done sim.Handler) {
 	s.ctx.Ops.MACVerifies++
-	s.ensureChunkMeta(homeAddr, devAddr, false, func() {
-		s.ctx.Eng.After(sim.Cycle(s.ctx.Cfg.Security.MACLatency), done)
-	})
+	s.ensureChunkMeta(devAddr, s.ctx.newOp(done).withTail(sim.Cycle(s.ctx.Cfg.Security.MACLatency)))
 }
 
 // OnWrite implements Engine: bump the chunk's minor counter, refresh the
 // device tree path, and produce the new MAC.
-func (s *Salus) OnWrite(homeAddr HomeAddr, devAddr DevAddr, done func()) {
+func (s *Salus) OnWrite(homeAddr HomeAddr, devAddr DevAddr, done sim.Handler) {
 	s.ctx.Ops.Encryptions++
 	s.ctx.Ops.MACComputes++
-	ch, ctrAddr, ctrLeaf, _ := s.devMeta(devAddr)
-	s.ensureChunkMeta(homeAddr, devAddr, true, func() {
-		s.ctrCaches[ch].MarkDirty(ctrAddr)
-		s.ctx.Ops.BMTUpdates++
-		s.devTrees[ch].Update(ctrLeaf, func() {})
-		done()
-	})
+	o := s.ctx.newOp(done)
+	o.write, o.then = true, s.writeReady
+	s.ensureChunkMeta(devAddr, o)
+}
+
+// writeMetaReady runs once a write's metadata is on chip.
+func (s *Salus) writeMetaReady(o *op) {
+	s.ctrCaches[o.ch].MarkDirty(o.ctrAddr)
+	s.ctx.Ops.BMTUpdates++
+	s.devTrees[o.ch].Update(o.leaf, nil)
+	o.finish()
 }
 
 // OnMigrateIn implements Engine: under the unified model the ciphertext
@@ -195,54 +215,56 @@ func (s *Salus) OnWrite(homeAddr HomeAddr, devAddr DevAddr, done func()) {
 //
 // When FetchOnAccess is disabled (ablation), the page's MAC sectors are
 // fetched up-front instead.
-func (s *Salus) OnMigrateIn(homePage, frame int, done func()) {
+func (s *Salus) OnMigrateIn(homePage, frame int, done sim.Handler) {
 	s.macIn[frame] = 0
 	s.ctrIn[frame] = 0
 	if s.FetchOnAccess {
-		done()
+		fire(done)
 		return
 	}
 	// Ablation: eager metadata fetch of all MAC sectors (majors embedded).
 	g := s.ctx.Cfg.Geometry
 	n := g.BlocksPerPage()
-	j := join(n, done)
+	j := s.ctx.newOp(done)
+	j.start(n)
 	for i := 0; i < n; i++ {
 		bip := i
 		s.ctx.Ops.MACFetchesLazy++
-		s.ctx.CXL.Access(32, stats.MAC, func() {
+		s.ctx.CXL.Access(32, stats.MAC, sim.Func(func() {
 			s.macIn[frame] |= 1 << uint(bip)
-			j()
-		})
+			j.Fire()
+		}))
 	}
 	s.ctrIn[frame] = (1 << uint(g.ChunksPerPage())) - 1
 	for c := 0; c < g.ChunksPerPage(); c++ {
 		devAddr := securemem.FrameAddr(frame, g.PageSize, uint64(c*g.ChunkSize))
 		ch, ctrAddr, ctrLeaf, _ := s.devMeta(devAddr)
 		s.ctrCaches[ch].Install(ctrAddr, uint64(frame))
-		s.devTrees[ch].Update(ctrLeaf, func() {})
+		s.devTrees[ch].Update(ctrLeaf, nil)
 	}
 }
 
 // OnChunkFill implements Engine: under the unified model a partial fill
 // needs no security work either — metadata follows on first access.
-func (s *Salus) OnChunkFill(homePage, frame, chunk int, done func()) {
+func (s *Salus) OnChunkFill(homePage, frame, chunk int, done sim.Handler) {
 	g := s.ctx.Cfg.Geometry
 	s.macIn[frame] &^= blockMaskOfChunk(chunk, g.BlocksPerChunk())
 	s.ctrIn[frame] &^= 1 << uint(chunk)
 	if s.FetchOnAccess {
-		done()
+		fire(done)
 		return
 	}
 	// Ablation: eager per-chunk MAC fetch.
 	n := g.BlocksPerChunk()
-	j := join(n, done)
+	j := s.ctx.newOp(done)
+	j.start(n)
 	for b := 0; b < n; b++ {
 		bip := chunk*g.BlocksPerChunk() + b
 		s.ctx.Ops.MACFetchesLazy++
-		s.ctx.CXL.Access(32, stats.MAC, func() {
+		s.ctx.CXL.Access(32, stats.MAC, sim.Func(func() {
 			s.macIn[frame] |= 1 << uint(bip)
-			j()
-		})
+			j.Fire()
+		}))
 	}
 }
 
@@ -257,7 +279,7 @@ func blockMaskOfChunk(chunk, blocksPerChunk int) uint64 {
 // the embedded major — return to CXL, and the collapsed counter sector and
 // compact CXL tree are refreshed. Clean chunks produce no security traffic
 // because their home-tier ciphertext and metadata were never invalidated.
-func (s *Salus) OnEvict(homePage, frame int, dirty, present uint64, done func()) {
+func (s *Salus) OnEvict(homePage, frame int, dirty, present uint64, done sim.Handler) {
 	g := s.ctx.Cfg.Geometry
 	if !s.DirtyTracking {
 		// Ablation: without dirty tracking every touched chunk is treated
@@ -281,7 +303,7 @@ func (s *Salus) OnEvict(homePage, frame int, dirty, present uint64, done func())
 
 	nDirty := popcount(dirty)
 	if nDirty == 0 {
-		done()
+		fire(done)
 		return
 	}
 	s.ctx.Ops.ReEncryptions += uint64(nDirty * g.SectorsPerChunk())
@@ -311,7 +333,8 @@ func (s *Salus) OnEvict(homePage, frame int, dirty, present uint64, done func())
 
 	parts := macWrites + len(colSectors) + counterTransfers
 	aes := sim.Cycle(s.ctx.Cfg.Security.AESLatency) + sim.Cycle(uint64(g.SectorsPerChunk()))
-	j := join(parts, func() { s.ctx.Eng.After(aes, done) })
+	j := s.ctx.newOp(done).withTail(aes)
+	j.start(parts)
 
 	// MAC sectors (majors embedded) cross the link.
 	for i := 0; i < macWrites; i++ {

@@ -35,22 +35,25 @@ type Engine interface {
 	// Name identifies the model in reports.
 	Name() string
 	// OnRead runs the read-side security work for a device-resident sector
-	// and calls done when the data may be released to the core.
-	OnRead(homeAddr HomeAddr, devAddr DevAddr, done func())
+	// and fires done when the data may be released to the core.
+	OnRead(homeAddr HomeAddr, devAddr DevAddr, done sim.Handler)
 	// OnWrite runs the write-side security work (counter bump, MAC
 	// generation, tree update) for a device-resident sector.
-	OnWrite(homeAddr HomeAddr, devAddr DevAddr, done func())
+	OnWrite(homeAddr HomeAddr, devAddr DevAddr, done sim.Handler)
 	// OnMigrateIn runs the security work of copying homePage into frame.
 	// Data movement itself is the page cache's job.
-	OnMigrateIn(homePage, frame int, done func())
+	OnMigrateIn(homePage, frame int, done sim.Handler)
 	// OnChunkFill runs the security work of a partial (chunk-granular)
 	// fill under predictive migration; whole-page fills use OnMigrateIn.
-	OnChunkFill(homePage, frame, chunk int, done func())
+	OnChunkFill(homePage, frame, chunk int, done sim.Handler)
 	// OnEvict runs the security work of evicting a frame. dirty and
 	// present are per-chunk bitmasks maintained by the page cache: present
 	// is every chunk actually filled into the frame (all of them under
 	// whole-page migration), dirty the subset written.
-	OnEvict(homePage, frame int, dirty, present uint64, done func())
+	//
+	// In every method, done may be nil when the caller needs no
+	// completion.
+	OnEvict(homePage, frame int, dirty, present uint64, done sim.Handler)
 	// FineGrainedWriteback reports whether eviction data traffic is
 	// limited to dirty chunks (Salus dirty tracking) or whole pages.
 	FineGrainedWriteback() bool
@@ -63,7 +66,108 @@ type Ctx struct {
 	Device *dram.Memory
 	CXL    *cxlmem.Memory
 	Ops    *stats.Ops
+
+	ops   sim.Pool[op]
+	fills sim.Pool[metaFill]
 }
+
+// fire fires h unless it is nil.
+func fire(h sim.Handler) {
+	if h != nil {
+		h.Fire()
+	}
+}
+
+// op is one security operation in flight: a join over its parallel legs
+// (metadata fetches, transfers, tree walks, each firing the op once), an
+// optional fixed tail (the MAC or AES pipeline), then done. The context
+// fields carry what the engine's continuations need; ctr and mac are the
+// operation's own metadata-cache fetches. Ops are pooled in the Ctx.
+type op struct {
+	ctx     *Ctx
+	pending int
+	tail    sim.Cycle
+	hasTail bool
+	// then, when set, runs instead of the tail once the legs have joined;
+	// it must end in finish.
+	then func(o *op)
+	done sim.Handler
+
+	ch, leaf, frame  int
+	ctrAddr, macAddr uint64
+	write, first     bool
+
+	ctr, mac leg
+}
+
+// newOp returns a pooled operation that fires done when it finishes.
+func (c *Ctx) newOp(done sim.Handler) *op {
+	o := c.ops.Get()
+	o.ctx, o.done = c, done
+	o.ctr.op, o.mac.op = o, o
+	return o
+}
+
+// withTail makes the operation wait d cycles after its legs joined.
+func (o *op) withTail(d sim.Cycle) *op {
+	o.tail, o.hasTail = d, true
+	return o
+}
+
+// start arms the join for n legs. n == 0 joins at once.
+func (o *op) start(n int) {
+	o.pending = n
+	if n == 0 {
+		o.joined()
+	}
+}
+
+// Fire records one leg's arrival.
+func (o *op) Fire() {
+	o.pending--
+	if o.pending == 0 {
+		o.joined()
+	}
+}
+
+func (o *op) joined() {
+	switch {
+	case o.then != nil:
+		o.then(o)
+	case o.hasTail:
+		o.ctx.Eng.Schedule(o.ctx.Eng.Now()+o.tail, (*opTail)(o))
+	default:
+		o.finish()
+	}
+}
+
+// finish recycles the operation and fires its done.
+func (o *op) finish() {
+	done := o.done
+	o.ctx.ops.Put(o)
+	fire(done)
+}
+
+// opTail is an op whose tail latency has elapsed.
+type opTail op
+
+func (t *opTail) Fire() { (*op)(t).finish() }
+
+// leg is one metadata-cache fetch on behalf of an op or a tree walk.
+// Fetch records whether the sector hit and runs then once it is cached.
+type leg struct {
+	then        func(l *leg)
+	hit         bool
+	op          *op
+	walk        *walk
+	addr, extra uint64
+}
+
+// Fire runs the continuation; the MSHR fires a missing leg on fill.
+func (l *leg) Fire() { l.then(l) }
+
+// joinLeg is the continuation of a fetch whose only job is to arrive.
+func joinLeg(l *leg) { l.op.Fire() }
 
 // chanLocal converts a device address to (channel, channel-local offset):
 // consecutive chunks go to consecutive channels, and each channel's chunks
@@ -88,13 +192,22 @@ type metaCache struct {
 
 	// parked holds, in arrival order, the misses that found every MSHR
 	// busy; each MSHR release replays them until the file is full again.
-	parked []parkedFetch
+	parked sim.Queue[*leg]
 }
 
-// parkedFetch is a Fetch waiting for a free MSHR.
-type parkedFetch struct {
-	addr, extra uint64
-	done        func(hit bool)
+// metaFill is one metadata-sector read from the backing memory; it
+// completes the sector's MSHR when the data arrives.
+type metaFill struct {
+	m     *metaCache
+	block cache.Addr
+	extra uint64
+}
+
+func (f *metaFill) Fire() {
+	m, block, extra := f.m, f.block, f.extra
+	m.ctx.fills.Put(f)
+	m.writebackVictim(m.c.CompleteMSHR(block, extra))
+	m.wake()
 }
 
 func newMetaCache(ctx *Ctx, sizeKB, ways, mshrs, channel int, class stats.Class) *metaCache {
@@ -113,7 +226,7 @@ func newMetaCache(ctx *Ctx, sizeKB, ways, mshrs, channel int, class stats.Class)
 }
 
 // backingAccess issues a 32-byte transfer to the backing memory.
-func (m *metaCache) backingAccess(done func()) {
+func (m *metaCache) backingAccess(done sim.Handler) {
 	if m.channel >= 0 {
 		m.ctx.Device.AccessChannel(m.channel, 32, m.class, done)
 	} else {
@@ -122,43 +235,45 @@ func (m *metaCache) backingAccess(done func()) {
 }
 
 // writebackVictim spills a dirty victim to the backing memory.
-func (m *metaCache) writebackVictim(v *cache.Victim) {
-	if v != nil && v.Dirty != 0 {
+func (m *metaCache) writebackVictim(v cache.Victim, evicted bool) {
+	if evicted && v.Dirty != 0 {
 		m.backingAccess(nil)
 	}
 }
 
-// Fetch ensures addr's 32-byte metadata sector is cached, calling
-// done(hit) when it is available; hit reports whether the sector was
-// already cached. extra is the caller-managed tag stored with the line.
-func (m *metaCache) Fetch(addr uint64, extra uint64, done func(hit bool)) {
+// Fetch ensures addr's 32-byte metadata sector is cached and then runs
+// l's continuation, with l.hit reporting whether the sector was already
+// cached (a hit runs it at once). extra is the caller-managed tag stored
+// with the line.
+func (m *metaCache) Fetch(addr uint64, extra uint64, l *leg) {
+	l.addr, l.extra = addr, extra
 	block := m.c.BlockAddr(cache.Addr(addr))
 	r := m.c.Lookup(block, 1)
 	if r.Miss == 0 {
-		done(true)
+		l.hit = true
+		l.then(l)
 		return
 	}
-	switch m.c.AllocateMSHR(block, 1, func(cache.SectorMask) { done(false) }) {
+	l.hit = false
+	switch m.c.AllocateMSHR(block, 1, l) {
 	case cache.MSHRNew:
-		m.backingAccess(func() {
-			m.writebackVictim(m.c.CompleteMSHR(block, extra))
-			m.wake()
-		})
+		f := m.ctx.fills.Get()
+		f.m, f.block, f.extra = m, block, extra
+		m.backingAccess(f)
 	case cache.MSHRMerged:
-		// done will fire with the existing fill.
+		// l fires with the existing fill.
 	case cache.MSHRFull:
 		// Structural stall: wait in the replay queue for a free MSHR.
-		m.parked = append(m.parked, parkedFetch{addr, extra, done})
+		m.parked.Push(l)
 	}
 }
 
 // wake replays parked misses in arrival order while an MSHR is free. A
 // replayed miss hits, merges or takes a new MSHR; it never parks again.
 func (m *metaCache) wake() {
-	for len(m.parked) > 0 && m.c.OutstandingMSHRs() < m.c.MSHRCapacity() {
-		p := m.parked[0]
-		m.parked = m.parked[1:]
-		m.Fetch(p.addr, p.extra, p.done)
+	for m.parked.Len() > 0 && m.c.OutstandingMSHRs() < m.c.MSHRCapacity() {
+		l := m.parked.Pop()
+		m.Fetch(l.addr, l.extra, l)
 	}
 }
 
@@ -192,6 +307,7 @@ type bmtRegion struct {
 	cache      *metaCache
 	levelBase  []uint64 // synthetic node base address per level
 	levelNodes []int
+	free       []*walk // finished walks, kept with their path storage
 }
 
 // newBMTRegion sizes a tree over nLeaves leaf blocks. Addresses are
@@ -212,62 +328,83 @@ func newBMTRegion(cache *metaCache, nLeaves int, addrBase uint64) *bmtRegion {
 // Levels returns the number of interior levels below the root.
 func (r *bmtRegion) Levels() int { return len(r.levelNodes) }
 
+// walk is one tree walk in flight: a join over the path nodes it fetches.
+// Its path array holds one leg per tree level and is kept across reuse.
+type walk struct {
+	region  *bmtRegion
+	dirty   bool
+	pending int
+	done    sim.Handler
+	path    []leg
+}
+
+// Fire records one path node's arrival.
+func (w *walk) Fire() {
+	w.pending--
+	if w.pending == 0 {
+		done := w.done
+		w.done = nil
+		w.region.free = append(w.region.free, w)
+		fire(done)
+	}
+}
+
+// walkLeg marks an updated node dirty once cached, then joins.
+func walkLeg(l *leg) {
+	w := l.walk
+	if w.dirty {
+		w.region.cache.MarkDirty(l.addr)
+	}
+	w.Fire()
+}
+
 // walk traverses from the leaf's parent upward. Verification ends at the
 // first *cached* ancestor (a trusted node); updates continue to the root
 // so every ancestor is refreshed and marked dirty. The path nodes below
 // the trusted ancestor are fetched in parallel — the verification engine
 // is pipelined, so a cold walk costs one memory round trip, not one per
 // level.
-func (r *bmtRegion) walk(leaf int, dirty bool, done func()) {
+func (r *bmtRegion) walk(leaf int, dirty bool, done sim.Handler) {
 	if len(r.levelNodes) == 0 {
-		done()
+		fire(done)
 		return
 	}
-	var addrs []uint64
+	var w *walk
+	if n := len(r.free); n > 0 {
+		w = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		w = &walk{region: r, path: make([]leg, len(r.levelNodes))}
+		for i := range w.path {
+			w.path[i].walk = w
+			w.path[i].then = walkLeg
+		}
+	}
+	w.dirty, w.done = dirty, done
+	n := 0
 	idx := leaf
 	for level := 0; level < len(r.levelNodes); level++ {
 		idx /= 8
 		addr := r.levelBase[level] + uint64(idx)*32
-		addrs = append(addrs, addr)
+		w.path[n].addr = addr
+		n++
 		if !dirty {
 			if _, _, _, present := r.cache.c.Peek(cache.Addr(addr)); present {
 				break // trusted cached ancestor ends the verification
 			}
 		}
 	}
-	j := join(len(addrs), done)
-	for _, addr := range addrs {
-		a := addr
-		r.cache.Fetch(a, 0, func(bool) {
-			if dirty {
-				r.cache.MarkDirty(a)
-			}
-			j()
-		})
+	w.pending = n
+	for i := 0; i < n; i++ {
+		r.cache.Fetch(w.path[i].addr, 0, &w.path[i])
 	}
 }
 
 // Verify runs a read-side freshness check for the counter block at leaf.
-func (r *bmtRegion) Verify(leaf int, done func()) { r.walk(leaf, false, done) }
+func (r *bmtRegion) Verify(leaf int, done sim.Handler) { r.walk(leaf, false, done) }
 
 // Update runs a write-side path refresh for the counter block at leaf.
-func (r *bmtRegion) Update(leaf int, done func()) { r.walk(leaf, true, done) }
-
-// join returns a callback that fires fn after being called n times. n == 0
-// fires immediately.
-func join(n int, fn func()) func() {
-	if n == 0 {
-		fn()
-		return func() {}
-	}
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 {
-			fn()
-		}
-	}
-}
+func (r *bmtRegion) Update(leaf int, done sim.Handler) { r.walk(leaf, true, done) }
 
 // HitRates summarises a metadata cache's sector hit rate (0..1); used for
 // the per-run cache report.

@@ -45,23 +45,41 @@ func TestChanLocal(t *testing.T) {
 	}
 }
 
+// testLeg wraps a test callback as a metadata fetch continuation.
+func testLeg(fn func(hit bool)) *leg {
+	return &leg{then: func(l *leg) { fn(l.hit) }}
+}
+
 func TestJoin(t *testing.T) {
+	ctx, _ := testCtx()
 	fired := 0
-	j := join(3, func() { fired++ })
-	j()
-	j()
+	j := ctx.newOp(sim.Func(func() { fired++ }))
+	j.start(3)
+	j.Fire()
+	j.Fire()
 	if fired != 0 {
 		t.Fatal("join fired early")
 	}
-	j()
+	j.Fire()
 	if fired != 1 {
 		t.Fatalf("join fired %d times, want 1", fired)
 	}
 	// n == 0 fires immediately.
 	immediate := 0
-	join(0, func() { immediate++ })
+	ctx.newOp(sim.Func(func() { immediate++ })).start(0)
 	if immediate != 1 {
 		t.Error("join(0) did not fire immediately")
+	}
+	// A tail delays done by a fixed latency after the join.
+	var at sim.Cycle
+	ctx.Eng.At(10, func() {
+		o := ctx.newOp(sim.Func(func() { at = ctx.Eng.Now() })).withTail(7)
+		o.start(1)
+		o.Fire()
+	})
+	drain(ctx)
+	if at != 17 {
+		t.Errorf("tail fired at %d, want 17", at)
 	}
 }
 
@@ -70,10 +88,10 @@ func TestMetaCacheFetchMissThenHit(t *testing.T) {
 	mc := newMetaCache(ctx, 2, 4, 16, 0, stats.Counter)
 	var hits []bool
 	ctx.Eng.At(0, func() {
-		mc.Fetch(0, 0, func(hit bool) {
+		mc.Fetch(0, 0, testLeg(func(hit bool) {
 			hits = append(hits, hit)
-			mc.Fetch(0, 0, func(hit bool) { hits = append(hits, hit) })
-		})
+			mc.Fetch(0, 0, testLeg(func(hit bool) { hits = append(hits, hit) }))
+		}))
 	})
 	drain(ctx)
 	if len(hits) != 2 || hits[0] || !hits[1] {
@@ -89,8 +107,8 @@ func TestMetaCacheMSHRMerge(t *testing.T) {
 	mc := newMetaCache(ctx, 2, 4, 16, 0, stats.Counter)
 	done := 0
 	ctx.Eng.At(0, func() {
-		mc.Fetch(0, 0, func(bool) { done++ })
-		mc.Fetch(0, 0, func(bool) { done++ }) // merges, no second read
+		mc.Fetch(0, 0, testLeg(func(bool) { done++ }))
+		mc.Fetch(0, 0, testLeg(func(bool) { done++ })) // merges, no second read
 	})
 	drain(ctx)
 	if done != 2 {
@@ -109,10 +127,10 @@ func TestMetaCacheMSHRFullParksUntilRelease(t *testing.T) {
 	ctx.Eng.At(0, func() {
 		for _, addr := range []uint64{0, 32, 64, 96, 0} {
 			a := addr
-			mc.Fetch(a, 0, func(bool) {
+			mc.Fetch(a, 0, testLeg(func(bool) {
 				order = append(order, a)
 				at[a] = ctx.Eng.Now()
-			})
+			}))
 		}
 	})
 	drain(ctx)
@@ -143,7 +161,7 @@ func TestMetaCacheMSHRFullParksUntilRelease(t *testing.T) {
 func TestMetaCacheCXLSide(t *testing.T) {
 	ctx, run := testCtx()
 	mc := newMetaCache(ctx, 2, 4, 16, -1, stats.MAC)
-	ctx.Eng.At(0, func() { mc.Fetch(64, 0, func(bool) {}) })
+	ctx.Eng.At(0, func() { mc.Fetch(64, 0, testLeg(func(bool) {})) })
 	drain(ctx)
 	if got := run.Traffic.Bytes(stats.CXL, stats.MAC); got != 32 {
 		t.Errorf("CXL MAC traffic = %d, want 32", got)
@@ -199,12 +217,12 @@ func TestBMTWalkColdThenWarm(t *testing.T) {
 	r := newBMTRegion(mc, 512, 0) // 3 levels: 64, 8, 1
 	doneAt := []sim.Cycle{}
 	ctx.Eng.At(0, func() {
-		r.Verify(0, func() {
+		r.Verify(0, sim.Func(func() {
 			doneAt = append(doneAt, ctx.Eng.Now())
 			// Second verify of the same leaf: all ancestors cached,
 			// first lookup hits, walk ends immediately.
-			r.Verify(0, func() { doneAt = append(doneAt, ctx.Eng.Now()) })
-		})
+			r.Verify(0, sim.Func(func() { doneAt = append(doneAt, ctx.Eng.Now()) }))
+		}))
 	})
 	drain(ctx)
 	if len(doneAt) != 2 {
@@ -223,7 +241,7 @@ func TestBMTUpdateMarksDirtyPath(t *testing.T) {
 	ctx, run := testCtx()
 	mc := newMetaCache(ctx, 8, 4, 16, 0, stats.BMT)
 	r := newBMTRegion(mc, 512, 0)
-	ctx.Eng.At(0, func() { r.Update(5, func() {}) })
+	ctx.Eng.At(0, func() { r.Update(5, sim.Func(func() {})) })
 	drain(ctx)
 	// Update walks to the root even past cached nodes and dirties them;
 	// reads happened for the cold fills.
@@ -239,10 +257,10 @@ func TestBMTUpdateMarksDirtyPath(t *testing.T) {
 func TestNoneEngineIsFree(t *testing.T) {
 	n := NewNone()
 	calls := 0
-	n.OnRead(0, 0, func() { calls++ })
-	n.OnWrite(0, 0, func() { calls++ })
-	n.OnMigrateIn(0, 0, func() { calls++ })
-	n.OnEvict(0, 0, 0, 0, func() { calls++ })
+	n.OnRead(0, 0, sim.Func(func() { calls++ }))
+	n.OnWrite(0, 0, sim.Func(func() { calls++ }))
+	n.OnMigrateIn(0, 0, sim.Func(func() { calls++ }))
+	n.OnEvict(0, 0, 0, 0, sim.Func(func() { calls++ }))
 	if calls != 4 {
 		t.Fatalf("calls = %d, want 4 (all immediate)", calls)
 	}
@@ -258,7 +276,7 @@ func TestBaselineMigrateTrafficShape(t *testing.T) {
 	ctx, run := testCtx()
 	b := NewBaseline(ctx, 1<<20, 1<<22)
 	doneFired := false
-	ctx.Eng.At(0, func() { b.OnMigrateIn(5, 0, func() { doneFired = true }) })
+	ctx.Eng.At(0, func() { b.OnMigrateIn(5, 0, sim.Func(func() { doneFired = true })) })
 	drain(ctx)
 	if !doneFired {
 		t.Fatal("migration security never completed")
@@ -283,7 +301,7 @@ func TestBaselineEvictTrafficShape(t *testing.T) {
 	ctx, run := testCtx()
 	b := NewBaseline(ctx, 1<<20, 1<<22)
 	fired := false
-	ctx.Eng.At(0, func() { b.OnEvict(5, 0, 0, 0xFFFF, func() { fired = true }) })
+	ctx.Eng.At(0, func() { b.OnEvict(5, 0, 0, 0xFFFF, sim.Func(func() { fired = true })) })
 	drain(ctx)
 	if !fired {
 		t.Fatal("eviction security never completed")
@@ -305,7 +323,7 @@ func TestSalusMigrateIsFree(t *testing.T) {
 	ctx, run := testCtx()
 	s := NewSalus(ctx, 1<<20, 1<<22, 256)
 	fired := false
-	ctx.Eng.At(0, func() { s.OnMigrateIn(5, 3, func() { fired = true }) })
+	ctx.Eng.At(0, func() { s.OnMigrateIn(5, 3, sim.Func(func() { fired = true })) })
 	drain(ctx)
 	if !fired {
 		t.Fatal("migration never completed")
@@ -323,8 +341,8 @@ func TestSalusFirstAccessLazyFetch(t *testing.T) {
 	s := NewSalus(ctx, 1<<20, 1<<22, 256)
 	reads := 0
 	ctx.Eng.At(0, func() {
-		s.OnMigrateIn(5, 0, func() {})
-		s.OnRead(5*4096, 0, func() { reads++ })
+		s.OnMigrateIn(5, 0, sim.Func(func() {}))
+		s.OnRead(5*4096, 0, sim.Func(func() { reads++ }))
 	})
 	drain(ctx)
 	if reads != 1 {
@@ -347,17 +365,17 @@ func TestSalusSecondAccessNoCXLTraffic(t *testing.T) {
 	s := NewSalus(ctx, 1<<20, 1<<22, 256)
 	seq := 0
 	ctx.Eng.At(0, func() {
-		s.OnMigrateIn(5, 0, func() {})
-		s.OnRead(5*4096, 0, func() {
+		s.OnMigrateIn(5, 0, sim.Func(func() {}))
+		s.OnRead(5*4096, 0, sim.Func(func() {
 			seq++
 			before := run.Traffic.TierTotal(stats.CXL)
-			s.OnRead(5*4096, 0, func() {
+			s.OnRead(5*4096, 0, sim.Func(func() {
 				seq++
 				if run.Traffic.TierTotal(stats.CXL) != before {
 					t.Error("second access to the same block crossed the link")
 				}
-			})
-		})
+			}))
+		}))
 	})
 	drain(ctx)
 	if seq != 2 {
@@ -370,7 +388,7 @@ func TestSalusEvictOnlyDirtyChunks(t *testing.T) {
 	s := NewSalus(ctx, 1<<20, 1<<22, 256)
 	fired := false
 	// One dirty chunk out of 16.
-	ctx.Eng.At(0, func() { s.OnEvict(5, 0, 0b1, 0b11, func() { fired = true }) })
+	ctx.Eng.At(0, func() { s.OnEvict(5, 0, 0b1, 0b11, sim.Func(func() { fired = true })) })
 	drain(ctx)
 	if !fired {
 		t.Fatal("eviction never completed")
@@ -388,7 +406,7 @@ func TestSalusEvictCleanPageFree(t *testing.T) {
 	ctx, run := testCtx()
 	s := NewSalus(ctx, 1<<20, 1<<22, 256)
 	fired := false
-	ctx.Eng.At(0, func() { s.OnEvict(5, 0, 0, 0xFFFF, func() { fired = true }) })
+	ctx.Eng.At(0, func() { s.OnEvict(5, 0, 0, 0xFFFF, sim.Func(func() { fired = true })) })
 	drain(ctx)
 	if !fired {
 		t.Fatal("clean eviction never completed")
@@ -407,7 +425,7 @@ func TestSalusAblationToggles(t *testing.T) {
 	if s.FineGrainedWriteback() {
 		t.Error("FineGrainedWriteback true with dirty tracking off")
 	}
-	ctx.Eng.At(0, func() { s.OnEvict(5, 0, 0, 0, func() {}) })
+	ctx.Eng.At(0, func() { s.OnEvict(5, 0, 0, 0, sim.Func(func() {})) })
 	drain(ctx)
 	if got := run.Traffic.Bytes(stats.CXL, stats.MAC); got != 16*2*32 {
 		t.Errorf("no-dirty-tracking eviction MAC bytes = %d, want 1024", got)
@@ -416,7 +434,7 @@ func TestSalusAblationToggles(t *testing.T) {
 	ctx2, run2 := testCtx()
 	s2 := NewSalus(ctx2, 1<<20, 1<<22, 256)
 	s2.CollapseCounters = false
-	ctx2.Eng.At(0, func() { s2.OnEvict(5, 0, 0b11, 0b11, func() {}) })
+	ctx2.Eng.At(0, func() { s2.OnEvict(5, 0, 0b11, 0b11, sim.Func(func() {})) })
 	drain(ctx2)
 	if got := run2.Traffic.Bytes(stats.CXL, stats.Counter); got != 32 {
 		t.Errorf("no-collapse eviction counter bytes = %d, want 32", got)
@@ -425,7 +443,7 @@ func TestSalusAblationToggles(t *testing.T) {
 	ctx3, run3 := testCtx()
 	s3 := NewSalus(ctx3, 1<<20, 1<<22, 256)
 	s3.FetchOnAccess = false
-	ctx3.Eng.At(0, func() { s3.OnMigrateIn(5, 0, func() {}) })
+	ctx3.Eng.At(0, func() { s3.OnMigrateIn(5, 0, sim.Func(func() {})) })
 	drain(ctx3)
 	if got := run3.Traffic.Bytes(stats.CXL, stats.MAC); got != 1024 {
 		t.Errorf("eager-fetch migration MAC bytes = %d, want 1024", got)
@@ -453,10 +471,10 @@ func TestCacheHitRatesReported(t *testing.T) {
 	b := NewBaseline(ctx, 1<<20, 1<<22)
 	done := 0
 	ctx.Eng.At(0, func() {
-		b.OnRead(0, 0, func() {
+		b.OnRead(0, 0, sim.Func(func() {
 			done++
-			b.OnRead(0, 0, func() { done++ }) // second read hits
-		})
+			b.OnRead(0, 0, sim.Func(func() { done++ })) // second read hits
+		}))
 	})
 	drain(ctx)
 	if done != 2 {

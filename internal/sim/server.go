@@ -41,7 +41,7 @@ func NewServer(eng *Engine, num, den uint64, latency Cycle) *Server {
 // Submit enqueues units of work and schedules done (may be nil) when the
 // work has been fully served and the fixed latency elapsed. It returns the
 // completion cycle.
-func (s *Server) Submit(units uint64, done func()) Cycle {
+func (s *Server) Submit(units uint64, done Handler) Cycle {
 	now := s.eng.Now()
 	if s.freeAt < now {
 		// The server went idle. The residue — fractional service already
@@ -61,7 +61,7 @@ func (s *Server) Submit(units uint64, done func()) Cycle {
 	s.unitsDone += units
 	completeAt := s.freeAt + s.latency
 	if done != nil {
-		s.eng.At(completeAt, done)
+		s.eng.Schedule(completeAt, done)
 	}
 	return completeAt
 }

@@ -1,66 +1,46 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel maintains a future-event list ordered by (time, sequence).
-// Components schedule callbacks at absolute or relative cycle times; the
+// Components schedule handlers at absolute or relative cycle times; the
 // engine dispatches them in order. Ties are broken by insertion order so a
 // run is fully reproducible.
+//
+// The event list is a binary min-heap of value-typed events, so
+// scheduling allocates nothing once the heap has grown to the run's
+// working depth. Hot paths schedule pre-bound Handler records; cold
+// paths may wrap a closure in Func.
 package sim
-
-import "container/heap"
 
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
-// Event is a scheduled callback.
-type Event struct {
+// Handler is a scheduled continuation. Fire runs it at its event's cycle.
+type Handler interface{ Fire() }
+
+// Func adapts a closure to Handler for paths where an allocation per
+// event does not matter.
+type Func func()
+
+// Fire runs the closure.
+func (f Func) Fire() { f() }
+
+// event is one queued handler. (when, seq) is a total order: seq is
+// unique and grows with every Schedule.
+type event struct {
 	when Cycle
 	seq  uint64
-	fn   func()
-
-	index int // heap index, -1 when not queued
+	h    Handler
 }
 
-// When returns the cycle at which the event fires.
-func (e *Event) When() Cycle { return e.when }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+func (a *event) before(b *event) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
 	now    Cycle
 	seq    uint64
-	events eventHeap
+	events []event // binary min-heap on (when, seq)
 	fired  uint64
 }
 
@@ -76,33 +56,60 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events still queued.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// At schedules fn to run at absolute cycle when. Scheduling in the past (or
-// at the current cycle) runs the callback at the current cycle, after all
-// already-queued events for this cycle. It returns the event so it can be
-// cancelled.
-func (e *Engine) At(when Cycle, fn func()) *Event {
+// Schedule queues h to fire at absolute cycle when. Scheduling in the past
+// (or at the current cycle) fires h at the current cycle, after all
+// already-queued events for this cycle.
+func (e *Engine) Schedule(when Cycle, h Handler) {
 	if when < e.now {
 		when = e.now
 	}
-	ev := &Event{when: when, seq: e.seq, fn: fn}
+	e.events = append(e.events, event{when: when, seq: e.seq, h: h})
 	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
+	e.up(len(e.events) - 1)
 }
+
+// At schedules fn to run at absolute cycle when.
+func (e *Engine) At(when Cycle, fn func()) { e.Schedule(when, Func(fn)) }
 
 // After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn func()) *Event {
-	return e.At(e.now+delay, fn)
+func (e *Engine) After(delay Cycle, fn func()) { e.Schedule(e.now+delay, Func(fn)) }
+
+// up restores the heap order after an append at index j.
+func (e *Engine) up(j int) {
+	h := e.events
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(&h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = ev
 }
 
-// Cancel removes a scheduled event. Cancelling an event that already fired
-// or was cancelled is a no-op. It reports whether the event was removed.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
-		return false
+// down restores the heap order after the root was replaced.
+func (e *Engine) down() {
+	h := e.events
+	n := len(h)
+	ev := h[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	heap.Remove(&e.events, ev.index)
-	return true
+	h[i] = ev
 }
 
 // Step dispatches the next event. It reports false when the queue is empty.
@@ -110,10 +117,17 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*Event)
+	ev := e.events[0]
+	last := len(e.events) - 1
+	e.events[0] = e.events[last]
+	e.events[last] = event{} // drop the handler reference
+	e.events = e.events[:last]
+	if last > 1 {
+		e.down()
+	}
 	e.now = ev.when
 	e.fired++
-	ev.fn()
+	ev.h.Fire()
 	return true
 }
 

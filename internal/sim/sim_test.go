@@ -56,22 +56,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.At(5, func() { ran = true })
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for queued event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("Cancel returned true for already-cancelled event")
-	}
-	e.Run(0)
-	if ran {
-		t.Error("cancelled event still fired")
-	}
-}
-
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -157,6 +141,149 @@ func TestEngineMonotonicTime(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// recorder is a pre-bound handler that logs its id and the fire cycle.
+type recorder struct {
+	e   *Engine
+	id  int
+	log *[]int
+	at  *[]Cycle
+}
+
+func (r *recorder) Fire() {
+	*r.log = append(*r.log, r.id)
+	*r.at = append(*r.at, r.e.Now())
+}
+
+func TestScheduleSameCycleFIFO(t *testing.T) {
+	// Many handlers on few cycles, scheduled in a scrambled cycle order:
+	// each cycle's handlers must fire in the order they were scheduled.
+	e := NewEngine()
+	var log []int
+	var at []Cycle
+	const n = 200
+	for i := 0; i < n; i++ {
+		when := Cycle((i * 7) % 5)
+		e.Schedule(when, &recorder{e: e, id: i, log: &log, at: &at})
+	}
+	e.Run(0)
+	if len(log) != n {
+		t.Fatalf("fired %d, want %d", len(log), n)
+	}
+	for k := 1; k < n; k++ {
+		if at[k] < at[k-1] {
+			t.Fatalf("time went backwards at %d: %d after %d", k, at[k], at[k-1])
+		}
+		if at[k] == at[k-1] && log[k] < log[k-1] {
+			t.Fatalf("cycle %d: handler %d fired after %d, want scheduling order", at[k], log[k], log[k-1])
+		}
+	}
+}
+
+func TestScheduleClampsPastToNowAfterQueued(t *testing.T) {
+	// A handler scheduled in the past fires at the current cycle, after
+	// the handlers already queued for that cycle.
+	e := NewEngine()
+	var log []int
+	var at []Cycle
+	e.At(30, func() {
+		e.Schedule(10, &recorder{e: e, id: 2, log: &log, at: &at})
+	})
+	e.Schedule(30, &recorder{e: e, id: 1, log: &log, at: &at})
+	e.Run(0)
+	if len(log) != 2 || log[0] != 1 || log[1] != 2 || at[1] != 30 {
+		t.Fatalf("log = %v at %v, want [1 2] both at 30", log, at)
+	}
+}
+
+func TestAdvanceAndRunUntilLimits(t *testing.T) {
+	e := NewEngine()
+	var log []int
+	var at []Cycle
+	for i, when := range []Cycle{5, 10, 10, 15, 40} {
+		e.Schedule(when, &recorder{e: e, id: i, log: &log, at: &at})
+	}
+	// Advance dispatches events due up to and including the target.
+	if got := e.Advance(10); got != 10 || len(log) != 3 {
+		t.Fatalf("Advance(10) = %d with %v fired, want 10 with 3", got, log)
+	}
+	// RunUntil stops at the limit without dispatching later events.
+	if got := e.RunUntil(20, func() bool { return true }); got != 20 || len(log) != 4 {
+		t.Fatalf("RunUntil(20) = %d with %v fired, want 20 with 4", got, log)
+	}
+	// RunUntil stops as soon as the condition turns false.
+	e.Schedule(25, &recorder{e: e, id: 5, log: &log, at: &at})
+	if got := e.RunUntil(0, func() bool { return len(log) < 5 }); got != 25 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(cond) = %d, pending %d, want 25 and 1", got, e.Pending())
+	}
+	if got := e.Run(0); got != 40 || len(log) != 6 {
+		t.Fatalf("Run(0) = %d with %v fired, want 40 with 6", got, log)
+	}
+}
+
+// ticker re-schedules itself, the steady state of a simulated pipeline.
+type ticker struct {
+	e *Engine
+	n int
+}
+
+func (t *ticker) Fire() {
+	t.n++
+	t.e.Schedule(t.e.Now()+Cycle(t.n%3), t)
+}
+
+func TestScheduleStepAllocationFree(t *testing.T) {
+	e := NewEngine()
+	tk := &ticker{e: e}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Cycle(i), tk)
+	}
+	for i := 0; i < 1000; i++ { // grow the heap to its working depth
+		e.Step()
+	}
+	if got := testing.AllocsPerRun(1000, func() { e.Step() }); got != 0 {
+		t.Errorf("Step with a pre-bound handler allocates %.1f times, want 0", got)
+	}
+	s := NewServer(e, 1, 4, 10)
+	if got := testing.AllocsPerRun(1000, func() { s.Submit(3, tk); e.Step() }); got != 0 {
+		t.Errorf("Server.Submit with a pre-bound handler allocates %.1f times, want 0", got)
+	}
+}
+
+func TestPoolAndQueueReuse(t *testing.T) {
+	var p Pool[[4]int]
+	a := p.Get()
+	a[0] = 7
+	p.Put(a)
+	if b := p.Get(); b != a || b[0] != 0 {
+		t.Fatalf("Pool.Get = %p %v, want the released record zeroed", b, *b)
+	}
+	var q Queue[int]
+	next := 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 3; i++ {
+			q.Push(round*3 + i)
+		}
+		for i := 0; i < 2; i++ {
+			if v := q.Pop(); v != next {
+				t.Fatalf("Pop = %d, want %d", v, next)
+			}
+			next++
+		}
+	}
+	if q.Len() != 50 {
+		t.Fatalf("Len = %d, want 50", q.Len())
+	}
+	for q.Len() > 0 {
+		if v := q.Pop(); v != next {
+			t.Fatalf("Pop = %d, want %d", v, next)
+		}
+		next++
+	}
+	if got := testing.AllocsPerRun(100, func() { q.Push(1); q.Push(2); q.Pop(); q.Pop() }); got != 0 {
+		t.Errorf("steady Push/Pop allocates %.1f times, want 0", got)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/salus-sim/salus/internal/cxlmem"
 	"github.com/salus-sim/salus/internal/dram"
 	"github.com/salus-sim/salus/internal/gpu"
+	"github.com/salus-sim/salus/internal/memreq"
 	"github.com/salus-sim/salus/internal/pagecache"
 	"github.com/salus-sim/salus/internal/secsim"
 	"github.com/salus-sim/salus/internal/securemem"
@@ -146,9 +147,10 @@ func Run(opts Options) (*stats.Run, error) {
 	pc.SetEvictNotifier(func(homePage int) { xb.Invalidate(homePage) })
 
 	// Per-partition L2 slices, sectored like the hardware's.
-	var l2s []*cache.Cache
+	mp := &l2Path{eng: eng, geo: geo, device: device, sec: sec,
+		latency: sim.Cycle(cfg.GPU.L2Latency)}
 	for i := 0; i < cfg.Memory.DeviceChannels; i++ {
-		l2s = append(l2s, cache.New(cache.Config{
+		mp.slices = append(mp.slices, cache.New(cache.Config{
 			SizeBytes:  cfg.GPU.L2KBPerPartition * 1024,
 			BlockSize:  geo.BlockSize,
 			SectorSize: geo.SectorSize,
@@ -156,79 +158,10 @@ func Run(opts Options) (*stats.Run, error) {
 			MSHRs:      cfg.GPU.L2MSHRs,
 		}))
 	}
-	chunks := uint64(geo.ChunkSize)
-	channelFor := func(devAddr securemem.DevAddr) int {
-		return int((uint64(devAddr) / chunks) % uint64(cfg.Memory.DeviceChannels))
-	}
-
-	// handleVictim writes back a dirty L2 victim: the data write plus the
-	// security write path for each dirty sector.
-	handleVictim := func(ch int, v *cache.Victim) {
-		if v == nil || v.Dirty == 0 {
-			return
-		}
-		for i := 0; i < geo.SectorsPerBlock(); i++ {
-			if !v.Dirty.Has(i) {
-				continue
-			}
-			devAddr := securemem.DevAddr(uint64(v.BlockAddr) + uint64(i*geo.SectorSize))
-			homeAddr := securemem.HomeAddr(v.Extra + uint64(i*geo.SectorSize))
-			device.Access(uint64(devAddr), uint64(geo.SectorSize), stats.Data, nil)
-			sec.OnWrite(homeAddr, devAddr, func() {})
-		}
-	}
-
-	// access runs the post-interconnect memory path for one request. It is
-	// self-referential for the MSHR-full retry path.
-	var access func(homeAddr securemem.HomeAddr, devAddr securemem.DevAddr, write bool, done func())
-	access = func(homeAddr securemem.HomeAddr, devAddr securemem.DevAddr, write bool, done func()) {
-		ch := channelFor(devAddr)
-		l2 := l2s[ch]
-		block := l2.BlockAddr(cache.Addr(devAddr))
-		homeBlock := uint64(homeAddr) - uint64(homeAddr)%uint64(geo.BlockSize)
-		secMask := cache.SectorMask(1) << uint(l2.SectorIndex(cache.Addr(devAddr)))
-
-		if write {
-			// Write-validate: install the sector dirty without fetching.
-			r := l2.Lookup(block, secMask)
-			if r.Miss != 0 {
-				handleVictim(ch, l2.Fill(block, secMask, uint64(homeBlock)))
-			}
-			l2.MarkDirty(block, secMask)
-			eng.After(sim.Cycle(cfg.GPU.L2Latency), done)
-			return
-		}
-
-		r := l2.Lookup(block, secMask)
-		if r.Miss == 0 {
-			eng.After(sim.Cycle(cfg.GPU.L2Latency), done)
-			return
-		}
-		fill := func(cache.SectorMask) { done() }
-		switch l2.AllocateMSHR(block, secMask, fill) {
-		case cache.MSHRNew:
-			// The data read and the security read path run in parallel;
-			// the fill completes when both have.
-			j := 2
-			complete := func() {
-				j--
-				if j == 0 {
-					handleVictim(ch, l2.CompleteMSHR(block, uint64(homeBlock)))
-				}
-			}
-			device.Access(uint64(devAddr), uint64(geo.SectorSize), stats.Data, complete)
-			sec.OnRead(homeAddr, devAddr, complete)
-		case cache.MSHRMerged:
-			// fill will fire with the in-flight request.
-		case cache.MSHRFull:
-			eng.After(8, func() { access(homeAddr, devAddr, write, done) })
-		}
-	}
-
-	issuer := func(gpc int, homeAddr securemem.HomeAddr, write bool, done func()) {
-		xb.Request(gpc, homeAddr, write, func(devAddr securemem.DevAddr) {
-			access(homeAddr, devAddr, write, done)
-		})
+	mp.accessFn = mp.access
+	issuer := func(r *memreq.Request) {
+		r.Push(mp.accessFn)
+		xb.Request(r)
 	}
 
 	// Build one stream per SM (or use the caller-supplied replay streams).
@@ -264,4 +197,97 @@ func Run(opts Options) (*stats.Run, error) {
 		run.CacheHitRates = reporter.CacheHitRates()
 	}
 	return run, nil
+}
+
+// l2Path is the post-interconnect memory path of one run: the L2 slice
+// of the request's partition, then on a read miss the data read and the
+// security read path in parallel.
+type l2Path struct {
+	eng     *sim.Engine
+	geo     config.Geometry
+	device  *dram.Memory
+	sec     secsim.Engine
+	slices  []*cache.Cache // per device channel
+	latency sim.Cycle      // L2 hit latency
+
+	fills    sim.Pool[l2Fill]
+	accessFn memreq.Cont // continuation, bound once
+}
+
+// l2Fill is one L2 miss in flight: the block fills when both the data
+// read and the security read path have completed.
+type l2Fill struct {
+	p         *l2Path
+	ch        int
+	block     cache.Addr
+	homeBlock uint64
+	pending   int
+}
+
+func (f *l2Fill) Fire() {
+	f.pending--
+	if f.pending == 0 {
+		p, ch, block, homeBlock := f.p, f.ch, f.block, f.homeBlock
+		p.fills.Put(f)
+		p.handleVictim(p.slices[ch].CompleteMSHR(block, homeBlock))
+	}
+}
+
+// access runs the L2 for a request the interconnect delivered, and fires
+// the request when its data is available (loads) or installed (stores).
+func (p *l2Path) access(r *memreq.Request) {
+	chunks := uint64(p.geo.ChunkSize)
+	ch := int((uint64(r.Dev) / chunks) % uint64(len(p.slices)))
+	l2 := p.slices[ch]
+	block := l2.BlockAddr(cache.Addr(r.Dev))
+	homeBlock := uint64(r.Home) - uint64(r.Home)%uint64(p.geo.BlockSize)
+	secMask := cache.SectorMask(1) << uint(l2.SectorIndex(cache.Addr(r.Dev)))
+
+	if r.Write {
+		// Write-validate: install the sector dirty without fetching.
+		res := l2.Lookup(block, secMask)
+		if res.Miss != 0 {
+			p.handleVictim(l2.Fill(block, secMask, homeBlock))
+		}
+		l2.MarkDirty(block, secMask)
+		p.eng.Schedule(p.eng.Now()+p.latency, r)
+		return
+	}
+
+	res := l2.Lookup(block, secMask)
+	if res.Miss == 0 {
+		p.eng.Schedule(p.eng.Now()+p.latency, r)
+		return
+	}
+	switch l2.AllocateMSHR(block, secMask, r) {
+	case cache.MSHRNew:
+		// The data read and the security read path run in parallel;
+		// the fill completes when both have.
+		f := p.fills.Get()
+		f.p, f.ch, f.block, f.homeBlock, f.pending = p, ch, block, homeBlock, 2
+		p.device.Access(uint64(r.Dev), uint64(p.geo.SectorSize), stats.Data, f)
+		p.sec.OnRead(r.Home, r.Dev, f)
+	case cache.MSHRMerged:
+		// r fires with the in-flight fill.
+	case cache.MSHRFull:
+		r.Push(p.accessFn)
+		p.eng.Schedule(p.eng.Now()+8, r)
+	}
+}
+
+// handleVictim writes back a dirty L2 victim: the data write plus the
+// security write path for each dirty sector.
+func (p *l2Path) handleVictim(v cache.Victim, evicted bool) {
+	if !evicted || v.Dirty == 0 {
+		return
+	}
+	for i := 0; i < p.geo.SectorsPerBlock(); i++ {
+		if !v.Dirty.Has(i) {
+			continue
+		}
+		devAddr := securemem.DevAddr(uint64(v.BlockAddr) + uint64(i*p.geo.SectorSize))
+		homeAddr := securemem.HomeAddr(v.Extra + uint64(i*p.geo.SectorSize))
+		p.device.Access(uint64(devAddr), uint64(p.geo.SectorSize), stats.Data, nil)
+		p.sec.OnWrite(homeAddr, devAddr, nil)
+	}
 }

@@ -107,6 +107,7 @@ type Stream struct {
 	pageIdx   int
 	visit     []uint64 // sector addresses of the current page visit, in order
 	visitIdx  int
+	chunks    []int // scratch: the chunks of the current page visit
 	capped    bool
 	remaining int // total accesses left when capped
 }
@@ -175,7 +176,7 @@ func (s *Stream) buildVisit(page uint64) {
 	}
 	// Choose which chunks: sequential prefix for sweeps, random subset for
 	// irregular workloads. Using the pattern keeps sweeps channel-ordered.
-	chunks := make([]int, 0, nChunks)
+	chunks := s.chunks[:0]
 	if s.p.Pattern == Random {
 		perm := s.rng.Perm(chunksPerPage)
 		for _, c := range perm[:nChunks] {
@@ -189,6 +190,7 @@ func (s *Stream) buildVisit(page uint64) {
 			chunks = append(chunks, (start+i)%chunksPerPage)
 		}
 	}
+	s.chunks = chunks
 	base := page * uint64(s.geo.PageSize)
 	s.visit = s.visit[:0]
 	for _, c := range chunks {

@@ -11,8 +11,8 @@ package xbar
 import (
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/dram"
+	"github.com/salus-sim/salus/internal/memreq"
 	"github.com/salus-sim/salus/internal/pagecache"
-	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/sim"
 	"github.com/salus-sim/salus/internal/stats"
 )
@@ -70,6 +70,8 @@ type Xbar struct {
 	// subset (§IV-B: "invalidation is sent only to a subset of the mapping
 	// caches to reduce generated traffic").
 	sharers map[int]uint32
+
+	proceedFn, crossFn, resolveFn memreq.Cont // continuations, bound once
 }
 
 // New builds the interconnect for the given number of GPCs.
@@ -88,6 +90,7 @@ func New(eng *sim.Engine, cfg config.Config, device *dram.Memory,
 	for i := 0; i < cfg.GPU.GPCs(); i++ {
 		x.mapCaches = append(x.mapCaches, newLRUSet(cfg.Security.MappingCacheEntries))
 	}
+	x.proceedFn, x.crossFn, x.resolveFn = x.proceed, x.cross, x.resolve
 	return x
 }
 
@@ -98,38 +101,44 @@ func (x *Xbar) mappingSectorAddr(page int) uint64 {
 	return uint64(page/4) * 32
 }
 
-// Request routes one memory access from a GPC. done receives the device
-// address once the page is resident and the request has crossed the
-// interconnect.
-func (x *Xbar) Request(gpc int, homeAddr securemem.HomeAddr, write bool, done func(devAddr securemem.DevAddr)) {
-	page := homeAddr.Page(x.geo.PageSize)
-	mc := x.mapCaches[gpc%len(x.mapCaches)]
+// Request routes one memory access from GPC r.GPC. Once the page is
+// resident and the request has crossed the interconnect, r.Dev holds the
+// device address and r fires.
+func (x *Xbar) Request(r *memreq.Request) {
+	page := r.Home.Page(x.geo.PageSize)
+	gpc := r.GPC % len(x.mapCaches)
+	r.Push(x.resolveFn)
+	r.Push(x.crossFn)
 
-	proceed := func() {
-		x.eng.After(x.latency, func() {
-			x.pc.Access(homeAddr, write, func(devAddr securemem.DevAddr) {
-				if write {
-					x.trackDirty(page)
-				}
-				done(devAddr)
-			})
-		})
-	}
-
-	present, evicted, didEvict := mc.touch(page)
+	present, evicted, didEvict := x.mapCaches[gpc].touch(page)
 	if didEvict {
-		x.sharers[evicted] &^= 1 << uint(gpc%len(x.mapCaches))
+		x.sharers[evicted] &^= 1 << uint(gpc)
 	}
 	if present {
 		x.ops.MappingCacheHits++
-		proceed()
+		x.proceed(r)
 		return
 	}
 	x.ops.MappingCacheMisses++
-	x.sharers[page] |= 1 << uint(gpc%len(x.mapCaches))
+	x.sharers[page] |= 1 << uint(gpc)
 	// Control logic reads the mapping sector from device memory; mapping
 	// cache fills (and silent evictions) follow.
-	x.device.Access(x.mappingSectorAddr(page), 32, stats.Mapping, proceed)
+	r.Push(x.proceedFn)
+	x.device.Access(x.mappingSectorAddr(page), 32, stats.Mapping, r)
+}
+
+// proceed starts the crossing once the translation is known.
+func (x *Xbar) proceed(r *memreq.Request) { x.eng.Schedule(x.eng.Now()+x.latency, r) }
+
+// cross hands the request to the page cache on the far side.
+func (x *Xbar) cross(r *memreq.Request) { x.pc.Access(r) }
+
+// resolve records a store's dirty bit and returns the request.
+func (x *Xbar) resolve(r *memreq.Request) {
+	if r.Write {
+		x.trackDirty(r.Home.Page(x.geo.PageSize))
+	}
+	r.Fire()
 }
 
 // Invalidate implements the directed invalidation protocol: when a page

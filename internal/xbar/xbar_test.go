@@ -6,6 +6,7 @@ import (
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/cxlmem"
 	"github.com/salus-sim/salus/internal/dram"
+	"github.com/salus-sim/salus/internal/memreq"
 	"github.com/salus-sim/salus/internal/pagecache"
 	"github.com/salus-sim/salus/internal/secsim"
 	"github.com/salus-sim/salus/internal/sim"
@@ -14,13 +15,21 @@ import (
 
 type passSec struct{}
 
-func (passSec) Name() string                                             { return "pass" }
-func (passSec) OnRead(h secsim.HomeAddr, d secsim.DevAddr, done func())  { done() }
-func (passSec) OnWrite(h secsim.HomeAddr, d secsim.DevAddr, done func()) { done() }
-func (passSec) OnMigrateIn(p, f int, done func())                        { done() }
-func (passSec) OnChunkFill(p, f, c int, done func())                     { done() }
-func (passSec) OnEvict(p, f int, dirty, present uint64, done func())     { done() }
-func (passSec) FineGrainedWriteback() bool                               { return true }
+func (passSec) Name() string                                                  { return "pass" }
+func (passSec) OnRead(h secsim.HomeAddr, d secsim.DevAddr, done sim.Handler)  { done.Fire() }
+func (passSec) OnWrite(h secsim.HomeAddr, d secsim.DevAddr, done sim.Handler) { done.Fire() }
+func (passSec) OnMigrateIn(p, f int, done sim.Handler)                        { done.Fire() }
+func (passSec) OnChunkFill(p, f, c int, done sim.Handler)                     { done.Fire() }
+func (passSec) OnEvict(p, f int, dirty, present uint64, done sim.Handler)     { done.Fire() }
+func (passSec) FineGrainedWriteback() bool                                    { return true }
+
+// req builds a request from GPC gpc whose completion calls done with the
+// resolved device address.
+func req(gpc int, home secsim.HomeAddr, write bool, done func(secsim.DevAddr)) *memreq.Request {
+	r := &memreq.Request{Home: home, Write: write, GPC: gpc}
+	r.Push(func(r *memreq.Request) { done(r.Dev) })
+	return r
+}
 
 func testXbar(t *testing.T, mapEntries, dirtyEntries int) (*sim.Engine, *Xbar, *stats.Run) {
 	t.Helper()
@@ -64,10 +73,10 @@ func TestMissThenHit(t *testing.T) {
 	eng, x, run := testXbar(t, 16, 8)
 	done := 0
 	eng.At(0, func() {
-		x.Request(0, 0, false, func(secsim.DevAddr) {
+		x.Request(req(0, 0, false, func(secsim.DevAddr) {
 			done++
-			x.Request(0, 64, false, func(secsim.DevAddr) { done++ })
-		})
+			x.Request(req(0, 64, false, func(secsim.DevAddr) { done++ }))
+		}))
 	})
 	eng.Run(0)
 	if done != 2 {
@@ -89,10 +98,10 @@ func TestPerGPCCaches(t *testing.T) {
 	eng, x, run := testXbar(t, 16, 8)
 	done := 0
 	eng.At(0, func() {
-		x.Request(0, 0, false, func(secsim.DevAddr) {
+		x.Request(req(0, 0, false, func(secsim.DevAddr) {
 			// Same page from another GPC: its own cache misses.
-			x.Request(1, 0, false, func(secsim.DevAddr) { done++ })
-		})
+			x.Request(req(1, 0, false, func(secsim.DevAddr) { done++ }))
+		}))
 	})
 	eng.Run(0)
 	if done != 1 {
@@ -111,10 +120,10 @@ func TestStaleMappingRefetches(t *testing.T) {
 	visit = func(pg int) {
 		if pg >= 12 {
 			// Revisit page 0: the mapping cache entry is stale.
-			x.Request(0, 0, false, func(secsim.DevAddr) { done++ })
+			x.Request(req(0, 0, false, func(secsim.DevAddr) { done++ }))
 			return
 		}
-		x.Request(0, secsim.HomeAddr(pg*4096), false, func(secsim.DevAddr) { visit(pg + 1) })
+		x.Request(req(0, secsim.HomeAddr(pg*4096), false, func(secsim.DevAddr) { visit(pg + 1) }))
 	}
 	eng.At(0, func() { visit(0) })
 	eng.Run(0)
@@ -130,17 +139,17 @@ func TestDirtyBufferAbsorbsRepeatWrites(t *testing.T) {
 	eng, x, run := testXbar(t, 16, 8)
 	done := 0
 	eng.At(0, func() {
-		x.Request(0, 0, true, func(secsim.DevAddr) {
+		x.Request(req(0, 0, true, func(secsim.DevAddr) {
 			base := run.Traffic.Bytes(stats.Device, stats.Mapping)
-			x.Request(0, 32, true, func(secsim.DevAddr) {
+			x.Request(req(0, 32, true, func(secsim.DevAddr) {
 				// Second write to the same page: buffered dirty bit, no
 				// extra mapping traffic beyond the first write's fill.
 				if got := run.Traffic.Bytes(stats.Device, stats.Mapping); got != base {
 					t.Errorf("repeat write added mapping traffic: %d -> %d", base, got)
 				}
 				done++
-			})
-		})
+			}))
+		}))
 	})
 	eng.Run(0)
 	if done != 1 {
@@ -153,11 +162,11 @@ func TestDirtyBufferSpill(t *testing.T) {
 	// Write to 3 pages with a 2-entry dirty buffer: one spill writeback.
 	done := 0
 	eng.At(0, func() {
-		x.Request(0, 0, true, func(secsim.DevAddr) {
-			x.Request(0, 4096, true, func(secsim.DevAddr) {
-				x.Request(0, 8192, true, func(secsim.DevAddr) { done++ })
-			})
-		})
+		x.Request(req(0, 0, true, func(secsim.DevAddr) {
+			x.Request(req(0, 4096, true, func(secsim.DevAddr) {
+				x.Request(req(0, 8192, true, func(secsim.DevAddr) { done++ }))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if done != 1 {
@@ -187,11 +196,11 @@ func TestDirectedInvalidation(t *testing.T) {
 	eng.At(0, func() {
 		// GPCs 0 and 1 both fetch page 0's mapping; GPC 0 also fetches
 		// page 1's.
-		x.Request(0, 0, false, func(secsim.DevAddr) {
-			x.Request(1, 0, false, func(secsim.DevAddr) {
-				x.Request(0, 4096, false, func(secsim.DevAddr) { done++ })
-			})
-		})
+		x.Request(req(0, 0, false, func(secsim.DevAddr) {
+			x.Request(req(1, 0, false, func(secsim.DevAddr) {
+				x.Request(req(0, 4096, false, func(secsim.DevAddr) { done++ }))
+			}))
+		}))
 	})
 	eng.Run(0)
 	if done != 1 {
@@ -220,17 +229,17 @@ func TestInvalidationForcesRemissAfterEviction(t *testing.T) {
 	eng, x, run := testXbar(t, 16, 8)
 	done := 0
 	eng.At(0, func() {
-		x.Request(0, 0, false, func(secsim.DevAddr) {
+		x.Request(req(0, 0, false, func(secsim.DevAddr) {
 			x.Invalidate(0) // page evicted: directed invalidation
 			// The next access must miss the mapping cache again.
 			missesBefore := run.Ops.MappingCacheMisses
-			x.Request(0, 0, false, func(secsim.DevAddr) {
+			x.Request(req(0, 0, false, func(secsim.DevAddr) {
 				if run.Ops.MappingCacheMisses != missesBefore+1 {
 					t.Error("access after invalidation did not miss")
 				}
 				done++
-			})
-		})
+			}))
+		}))
 	})
 	eng.Run(0)
 	if done != 1 {
