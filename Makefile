@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke bench-baseline bench-record bench-compare ci
+.PHONY: all build test lint vet fmt race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke bench-baseline bench-record bench-compare sim-compare ci
 
 all: build test
 
@@ -116,10 +116,10 @@ tenant-smoke:
 migrate-smoke:
 	$(GO) run -race ./cmd/salus-check -migrate -seeds 6
 
-# bench-baseline refreshes the checked-in perf baseline: the quick
+# bench-baseline re-records the checked-in simulator results: the quick
 # variant of every salus-bench workload, in JSON, written to
-# BENCH_seed.json. Later PRs compare against it to hold the ROADMAP
-# item-2 perf trajectory; regenerate only on machine-class changes.
+# BENCH_seed.json. Simulated results are exact, so re-record only with an
+# intentional model change, and state the changed values with it.
 bench-baseline:
 	$(GO) run ./cmd/salus-bench -quick -all -format json > BENCH_seed.json
 
@@ -143,4 +143,15 @@ bench-record:
 bench-compare:
 	$(GO) run ./cmd/salus-bench -perf -perf-compare BENCH_perf.json > bench-current.json
 
-ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke bench-compare
+# sim-compare is the exact simulator-results gate: it regenerates the
+# quick campaign and demands byte equality with BENCH_seed.json, once at
+# GOMAXPROCS=1 and once at GOMAXPROCS=2 in separate processes, so it also
+# proves the simulator deterministic across processes. The fresh output
+# lands in sim-current.json (not checked in) for diffing a failure.
+sim-compare:
+	GOMAXPROCS=1 $(GO) run ./cmd/salus-bench -quick -all -format json > sim-current.json
+	cmp sim-current.json BENCH_seed.json
+	GOMAXPROCS=2 $(GO) run ./cmd/salus-bench -quick -all -format json > sim-current.json
+	cmp sim-current.json BENCH_seed.json
+
+ci: build lint test race fuzz-smoke check-smoke chaos-smoke crash-smoke link-smoke serve-smoke tenant-smoke migrate-smoke bench-compare sim-compare

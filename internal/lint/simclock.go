@@ -14,7 +14,8 @@ import (
 // that silently: the reproducer still runs, it just stops reproducing.
 //
 // Core packages are matched by package name (securemem, pagecache,
-// check, fault, crash, link, sim, serve — with any _test variant), mirroring
+// check, fault, crash, link, sim, serve, the timing-simulator packages —
+// with any _test variant; see simCorePackages), mirroring
 // droppederr's name-based matching so fixtures can declare small
 // stand-ins. Test files are included: a flaky test is exactly the
 // failure mode this exists to prevent.
@@ -53,6 +54,20 @@ var simCorePackages = map[string]bool{
 	// to the sim clock, so neither wall time nor ambient randomness may
 	// leak into the stream schedule.
 	"migrate": true,
+	// The timing simulator behind the paper's figures: its results are
+	// gated byte for byte against BENCH_seed.json, so every package on
+	// its event path, and the campaigns built on it, must be a pure
+	// function of the configuration and the workload seeds.
+	"cache":       true,
+	"cxlmem":      true,
+	"dram":        true,
+	"experiments": true,
+	"gpu":         true,
+	"memreq":      true,
+	"secsim":      true,
+	"system":      true,
+	"trace":       true,
+	"xbar":        true,
 }
 
 // simClockCorePkg reports whether a package name is in the deterministic
