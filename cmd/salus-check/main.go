@@ -77,8 +77,16 @@
 // synced region must surface as a typed torn-checkpoint or rollback error;
 // a replayed stale journal must be rejected as a rollback.
 //
-// On a violation it exits non-zero, printing the shrunk minimal reproducer
-// both as an op listing and as a ready-to-commit Go regression test.
+// Every campaign runs on the same seed runner (check.Run) and honours a
+// fixed set of flags, listed in the campaigns table below; -v applies to
+// all of them. Setting a flag the selected campaign does not honour, or
+// selecting two campaigns, is a usage error (exit 2), never silently
+// ignored.
+//
+// On a violation it exits non-zero. A shrinkable campaign (differential,
+// crash, link) prints the shrunk minimal reproducer both as an op listing
+// and as a ready-to-commit Go regression test; the others print every
+// violation of the failing seed.
 package main
 
 import (
@@ -86,6 +94,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/salus-sim/salus/internal/check"
@@ -98,12 +107,32 @@ func main() {
 	os.Exit(appMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// explicitFlags reports which flags the user actually set, so modes with
-// their own campaign defaults only honor overrides that were typed.
-func explicitFlags(fs *flag.FlagSet) map[string]bool {
-	m := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { m[f.Name] = true })
-	return m
+// options holds the parsed flags; set names the ones given explicitly.
+type options struct {
+	seeds, ops, pages, devPages, clients, workers, queueCap int
+	seed                                                    int64
+	chaos, linkPlan                                         string
+	models                                                  []securemem.Model
+	verbose                                                 func(string)
+	set                                                     map[string]bool
+}
+
+// campaign is one row of the mode table: the boolean flag selecting it
+// ("" for the differential default), the flags it honours besides -v,
+// and its runner, which returns the exit code.
+type campaign struct {
+	mode    string
+	honours []string
+	run     func(o *options, stdout io.Writer) int
+}
+
+var campaigns = []campaign{
+	{"", []string{"seeds", "ops", "seed", "model", "pages", "devpages", "chaos"}, runDiff},
+	{"crash", []string{"seeds", "ops", "seed", "pages", "devpages"}, runCrash},
+	{"link", []string{"seeds", "ops", "seed", "pages", "devpages", "queuecap", "linkplan"}, runLink},
+	{"serve", []string{"seeds", "ops", "seed", "pages", "devpages", "queuecap", "clients"}, runServe},
+	{"tenant", []string{"seeds", "ops", "seed", "pages", "devpages", "queuecap", "workers"}, runTenant},
+	{"migrate", []string{"seeds", "seed", "pages", "devpages", "queuecap"}, runMigrate},
 }
 
 // parseModels turns a comma-separated model list into securemem models.
@@ -130,298 +159,178 @@ func parseModels(spec string) ([]securemem.Model, error) {
 
 // appMain is the testable entry point.
 func appMain(args []string, stdout, stderr io.Writer) int {
-	flag := flag.NewFlagSet("salus-check", flag.ContinueOnError)
-	flag.SetOutput(stderr)
+	fs := flag.NewFlagSet("salus-check", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	def := check.DefaultConfig()
-	seeds := flag.Int("seeds", def.Seeds, "number of seeds to run")
-	ops := flag.Int("ops", def.Ops, "operations per seed")
-	seed := flag.Int64("seed", def.FirstSeed, "first seed (seeds cover [seed, seed+seeds))")
-	model := flag.String("model", "none,conventional,salus", "comma-separated models to check differentially")
-	pages := flag.Int("pages", def.TotalPages, "home (CXL) pages in the checked address space")
-	devPages := flag.Int("devpages", def.DevicePages, "device frames (< pages forces eviction churn)")
-	chaos := flag.String("chaos", "", "fault plan: recoverable (transient link faults) or unrecoverable (plus media errors)")
-	crashMode := flag.Bool("crash", false, "power-loss injection: enumerate every crash point of the checkpoint journal (Salus-only, exclusive with -chaos)")
-	linkMode := flag.Bool("link", false, "CXL link chaos: replay every seed under deterministic flap plans and verify degraded-mode operation (Salus-only, exclusive with -chaos and -crash)")
-	serveMode := flag.Bool("serve", false, "combined-chaos service campaign: concurrent client fleets under faults + link flaps + crash/recover at once (Salus-only, exclusive with the other modes)")
-	tenantMode := flag.Bool("tenant", false, "hostile-tenant isolation campaign: victim/bystander/attacker domains over one pool, cross-tenant probes and chaos on the attacker only (Salus-only, exclusive with the other modes)")
-	migrateMode := flag.Bool("migrate", false, "attested live-migration campaign: differential-oracle migrations, MITM tape attacks at every record boundary, endpoint crashes, link-loss resume, source retirement (Salus-only, exclusive with the other modes)")
-	clients := flag.Int("clients", 0, "with -serve: concurrent client streams per seed (0 = campaign default)")
-	workers := flag.Int("workers", 0, "with -tenant: worker streams per tenant (0 = campaign default)")
-	linkPlan := flag.String("linkplan", "", "with -link: a single link plan spec (see internal/link.ParsePlan) replacing the default plan set")
-	queueCap := flag.Int("queuecap", 0, "with -link: dirty-writeback queue capacity (0 = campaign default)")
-	verbose := flag.Bool("v", false, "print per-seed progress")
-	if err := flag.Parse(args); err != nil {
+	var o options
+	fs.IntVar(&o.seeds, "seeds", def.Seeds, "number of seeds to run")
+	fs.IntVar(&o.ops, "ops", def.Ops, "operations per seed (per client with -serve, per worker with -tenant)")
+	fs.Int64Var(&o.seed, "seed", def.FirstSeed, "first seed (seeds cover [seed, seed+seeds))")
+	model := fs.String("model", "none,conventional,salus", "comma-separated models to check differentially")
+	fs.IntVar(&o.pages, "pages", def.TotalPages, "home (CXL) pages in the checked address space (per tenant with -tenant and -migrate)")
+	fs.IntVar(&o.devPages, "devpages", def.DevicePages, "device frames (< pages forces eviction churn)")
+	fs.StringVar(&o.chaos, "chaos", "", "fault plan: recoverable (transient link faults) or unrecoverable (plus media errors)")
+	modes := map[string]*bool{
+		"crash":   fs.Bool("crash", false, "power-loss injection: enumerate every crash point of the checkpoint journal (Salus-only)"),
+		"link":    fs.Bool("link", false, "CXL link chaos: replay every seed under deterministic flap plans and verify degraded-mode operation (Salus-only)"),
+		"serve":   fs.Bool("serve", false, "combined-chaos service campaign: concurrent client fleets under faults + link flaps + crash/recover at once (Salus-only)"),
+		"tenant":  fs.Bool("tenant", false, "hostile-tenant isolation campaign: victim/bystander/attacker domains over one pool, cross-tenant probes and chaos on the attacker only (Salus-only)"),
+		"migrate": fs.Bool("migrate", false, "attested live-migration campaign: differential-oracle migrations, MITM tape attacks at every record boundary, endpoint crashes, link-loss resume, source retirement (Salus-only)"),
+	}
+	fs.IntVar(&o.clients, "clients", 0, "with -serve: concurrent client streams per seed (0 = campaign default)")
+	fs.IntVar(&o.workers, "workers", 0, "with -tenant: worker streams per tenant (0 = campaign default)")
+	fs.StringVar(&o.linkPlan, "linkplan", "", "with -link: a single link plan spec (see internal/link.ParsePlan) replacing the default plan set")
+	fs.IntVar(&o.queueCap, "queuecap", 0, "with -link, -serve, -tenant, -migrate: dirty-writeback queue capacity (0 = campaign default)")
+	verbose := fs.Bool("v", false, "print per-seed progress")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if flag.NArg() > 0 {
-		fmt.Fprintf(stderr, "salus-check: unexpected argument %q\n", flag.Arg(0))
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "salus-check: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	set := explicitFlags(flag)
-
-	models, err := parseModels(*model)
-	if err != nil {
-		fmt.Fprintln(stderr, "salus-check:", err)
-		return 2
-	}
-	if *seeds < 1 || *ops < 1 || *pages < 1 || *devPages < 1 || *devPages > *pages {
-		fmt.Fprintln(stderr, "salus-check: -seeds, -ops, -pages, -devpages must be positive and -devpages <= -pages")
-		return 2
-	}
-	modes := 0
-	for _, on := range []bool{*crashMode, *linkMode, *serveMode, *tenantMode, *migrateMode} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(stderr, "salus-check: -crash, -link, -serve, -tenant, and -migrate are exclusive")
-		return 2
-	}
-	if *migrateMode {
-		if *chaos != "" || *linkPlan != "" || *clients != 0 || *workers != 0 {
-			fmt.Fprintln(stderr, "salus-check: -migrate is exclusive with -chaos, -linkplan, -clients, and -workers")
-			return 2
-		}
-		plan := check.DefaultMigratePlan()
-		if set["seeds"] {
-			plan.Seeds = *seeds
-		}
-		if set["seed"] {
-			plan.FirstSeed = *seed
-		}
-		if set["pages"] {
-			plan.PagesPerTenant = *pages
-		}
-		if set["devpages"] {
-			plan.FramesPerTenant = *devPages
-		}
-		if *queueCap > 0 {
-			plan.QueueCap = *queueCap
-		}
-		return migrateMain(plan, *verbose, stdout, stderr)
-	}
-	if *tenantMode {
-		if *chaos != "" || *linkPlan != "" || *clients != 0 {
-			fmt.Fprintln(stderr, "salus-check: -tenant is exclusive with -chaos, -linkplan, and -clients")
-			return 2
-		}
-		plan := check.DefaultTenantPlan()
-		if set["seeds"] {
-			plan.Seeds = *seeds
-		}
-		if set["seed"] {
-			plan.FirstSeed = *seed
-		}
-		if set["ops"] {
-			plan.OpsPerWorker = *ops
-		}
-		if set["pages"] {
-			plan.PagesPerTenant = *pages
-		}
-		if set["devpages"] {
-			plan.FramesPerTenant = *devPages
-		}
-		if *workers > 0 {
-			plan.WorkersPerTenant = *workers
-		}
-		if *queueCap > 0 {
-			plan.QueueCap = *queueCap
-		}
-		return tenantMain(plan, *verbose, stdout, stderr)
-	}
-	if *workers != 0 {
-		fmt.Fprintln(stderr, "salus-check: -workers requires -tenant")
-		return 2
-	}
-	if *serveMode {
-		if *chaos != "" || *linkPlan != "" {
-			fmt.Fprintln(stderr, "salus-check: -serve is exclusive with -chaos and -linkplan")
-			return 2
-		}
-		plan := check.DefaultServePlan()
-		if set["seeds"] {
-			plan.Seeds = *seeds
-		}
-		if set["seed"] {
-			plan.FirstSeed = *seed
-		}
-		if set["ops"] {
-			plan.OpsPerClient = *ops
-		}
-		if set["pages"] {
-			plan.TotalPages = *pages
-		}
-		if set["devpages"] {
-			plan.DevicePages = *devPages
-		}
-		if *clients > 0 {
-			plan.Clients = *clients
-		}
-		if *queueCap > 0 {
-			plan.QueueCap = *queueCap
-		}
-		return serveMain(plan, *verbose, stdout, stderr)
-	}
-	if *clients != 0 {
-		fmt.Fprintln(stderr, "salus-check: -clients requires -serve")
-		return 2
-	}
-	if *crashMode {
-		if *chaos != "" {
-			fmt.Fprintln(stderr, "salus-check: -crash and -chaos are exclusive")
-			return 2
-		}
-		return crashMain(*seeds, *ops, *seed, *pages, *devPages, *verbose, stdout, stderr)
-	}
-	if *linkMode {
-		if *chaos != "" {
-			fmt.Fprintln(stderr, "salus-check: -link and -chaos are exclusive")
-			return 2
-		}
-		return linkMain(*seeds, *ops, *seed, *pages, *devPages, *queueCap, *linkPlan, *verbose, stdout, stderr)
-	}
-	if *linkPlan != "" || *queueCap != 0 {
-		fmt.Fprintln(stderr, "salus-check: -linkplan and -queuecap require -link")
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "salus-check: "+format+"\n", a...)
 		return 2
 	}
 
-	cfg := def
-	cfg.Seeds = *seeds
-	cfg.Ops = *ops
-	cfg.FirstSeed = *seed
-	cfg.TotalPages = *pages
-	cfg.DevicePages = *devPages
-	cfg.Models = models
+	c := campaigns[0]
+	for _, cand := range campaigns[1:] {
+		if *modes[cand.mode] {
+			if c.mode != "" {
+				return usage("-%s and -%s are exclusive", c.mode, cand.mode)
+			}
+			c = cand
+		}
+	}
+	o.set = map[string]bool{}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		o.set[f.Name] = true
+		if modes[f.Name] == nil && f.Name != "v" && !slices.Contains(c.honours, f.Name) {
+			stray = append(stray, f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		name := "the differential campaign"
+		if c.mode != "" {
+			name = "-" + c.mode
+		}
+		return usage("-%s is not honoured by %s (it honours -%s and -v)", stray[0], name, strings.Join(c.honours, ", -"))
+	}
+
+	var err error
+	if o.models, err = parseModels(*model); err != nil {
+		return usage("%v", err)
+	}
+	if o.seeds < 1 || o.ops < 1 || o.pages < 1 || o.devPages < 1 || o.devPages > o.pages {
+		return usage("-seeds, -ops, -pages, -devpages must be positive and -devpages <= -pages")
+	}
+	if o.chaos != "" && o.chaos != "recoverable" && o.chaos != "unrecoverable" {
+		return usage("-chaos must be empty, recoverable, or unrecoverable (got %q)", o.chaos)
+	}
+	if _, err := link.ParsePlan(o.linkPlan); o.linkPlan != "" && err != nil {
+		return usage("-linkplan: %v", err)
+	}
 	if *verbose {
-		cfg.Verbose = func(s string) { fmt.Fprintln(stderr, s) }
+		o.verbose = func(s string) { fmt.Fprintln(stderr, s) }
 	}
+	return c.run(&o, stdout)
+}
 
-	var faults securemem.OpStats
-	switch *chaos {
-	case "":
-	case "recoverable", "unrecoverable":
-		cfg = check.ChaosConfig(cfg, *chaos == "unrecoverable")
-		cfg.Fault.Sink = func(_ string, st securemem.OpStats) {
-			faults.TransientFaults += st.TransientFaults
-			faults.PoisonFaults += st.PoisonFaults
-			faults.StuckBitFaults += st.StuckBitFaults
-			faults.Retries += st.Retries
-			faults.RetryBackoffCycles += st.RetryBackoffCycles
-			faults.TransparentRecoveries += st.TransparentRecoveries
-			faults.FramesQuarantined += st.FramesQuarantined
-			faults.ChunksPoisoned += st.ChunksPoisoned
-			faults.PagesPinned += st.PagesPinned
+// seedRange returns the flags' seed range.
+func (o *options) seedRange() check.SeedRange {
+	return check.SeedRange{Seeds: o.seeds, FirstSeed: o.seed, Verbose: o.verbose}
+}
+
+// override copies each explicitly set flag into the campaign default it
+// names, leaving the rest of the plan's defaults alone.
+func (o *options) override(sr *check.SeedRange, fields map[string]*int) {
+	sr.Verbose = o.verbose
+	if o.set["seeds"] {
+		sr.Seeds = o.seeds
+	}
+	if o.set["seed"] {
+		sr.FirstSeed = o.seed
+	}
+	for name, v := range map[string]int{"ops": o.ops, "pages": o.pages, "devpages": o.devPages,
+		"clients": o.clients, "workers": o.workers, "queuecap": o.queueCap} {
+		if dst := fields[name]; dst != nil && o.set[name] && v > 0 {
+			*dst = v
 		}
-	default:
-		fmt.Fprintf(stderr, "salus-check: -chaos must be empty, recoverable, or unrecoverable (got %q)\n", *chaos)
-		return 2
 	}
+}
 
-	res := check.Run(cfg)
-	if f := res.Failure; f != nil {
-		fmt.Fprintf(stdout, "salus-check: FAIL: %s\n\n", f)
-		fmt.Fprintf(stdout, "minimal reproducer (%d ops):\n", len(f.Seq.Ops))
+// failed prints a failed campaign's report: the shrunk reproducer of a
+// sequence failure, or every violation of the failing seed.
+func failed(w io.Writer, name string, v *check.Verdict) bool {
+	head := "salus-check: " + name + "FAIL"
+	if f := v.Failure; f != nil {
+		fmt.Fprintf(w, "%s: %s\n\n", head, f)
+		fmt.Fprintf(w, "minimal reproducer (%d ops):\n", len(f.Seq.Ops))
 		for i, op := range f.Seq.Ops {
-			fmt.Fprintf(stdout, "  %3d: %v\n", i, op)
+			fmt.Fprintf(w, "  %3d: %v\n", i, op)
 		}
-		fmt.Fprintf(stdout, "\nregression test:\n\n%s", f.GoTest(cfg, fmt.Sprintf("seed%d", f.Seq.Seed)))
+		fmt.Fprintf(w, "\nregression test:\n\n%s", f.GoTest(fmt.Sprintf("seed%d", f.Seq.Seed)))
+		return true
+	}
+	if len(v.Violations) > 0 {
+		fmt.Fprintf(w, "%s: %d violations after %d seeds\n", head, len(v.Violations), v.SeedsRun)
+		for _, s := range v.Violations {
+			fmt.Fprintf(w, "  %s\n", s)
+		}
+		return true
+	}
+	return false
+}
+
+func runDiff(o *options, stdout io.Writer) int {
+	cfg := check.DefaultConfig()
+	cfg.SeedRange, cfg.Ops, cfg.Models = o.seedRange(), o.ops, o.models
+	cfg.TotalPages, cfg.DevicePages = o.pages, o.devPages
+	if o.chaos != "" {
+		cfg = check.ChaosConfig(cfg, o.chaos == "unrecoverable")
+	}
+	res := check.Run(cfg)
+	if failed(stdout, "", &res.Verdict) {
 		return 1
 	}
 	fmt.Fprintf(stdout, "salus-check: PASS: %d seeds, %d ops, %d models, no divergence\n",
-		res.SeedsRun, res.OpsRun, len(models))
-	if *chaos != "" {
+		res.SeedsRun, res.OpsRun, len(o.models))
+	if f := res.Faults; o.chaos != "" {
 		fmt.Fprintf(stdout, "salus-check: chaos (%s): %d transient (%d retries, %d backoff cycles), %d poison, %d stuck-bit; recovered %d, quarantined %d frames / %d chunks, pinned %d pages\n",
-			*chaos, faults.TransientFaults, faults.Retries, faults.RetryBackoffCycles,
-			faults.PoisonFaults, faults.StuckBitFaults, faults.TransparentRecoveries,
-			faults.FramesQuarantined, faults.ChunksPoisoned, faults.PagesPinned)
+			o.chaos, f.TransientFaults, f.Retries, f.RetryBackoffCycles,
+			f.PoisonFaults, f.StuckBitFaults, f.TransparentRecoveries,
+			f.FramesQuarantined, f.ChunksPoisoned, f.PagesPinned)
 	}
 	return 0
 }
 
-// serveMain runs the combined-chaos service campaign. The -model flag is
-// ignored: the traffic service fronts a ModelSalus engine.
-func serveMain(plan check.ServePlan, verbose bool, stdout, stderr io.Writer) int {
-	if verbose {
-		plan.Verbose = func(s string) { fmt.Fprintln(stderr, s) }
-	}
-	res := check.RunServe(plan)
-	if res.Failed() {
-		fmt.Fprintf(stdout, "salus-check: serve FAIL: %d violations after %d seeds\n", len(res.Violations), res.SeedsRun)
-		for _, v := range res.Violations {
-			fmt.Fprintf(stdout, "  %s\n", v)
-		}
+func runCrash(o *options, stdout io.Writer) int {
+	plan := check.DefaultCrashPlan()
+	plan.SeedRange, plan.Ops = o.seedRange(), o.ops
+	plan.TotalPages, plan.DevicePages = o.pages, o.devPages
+	res := check.Run(plan)
+	if failed(stdout, "crash ", &res.Verdict) {
 		return 1
 	}
-	fmt.Fprintf(stdout, "salus-check: serve PASS: %d seeds, %d streams, %d requests; %d checkpoints (%d refused typed), %d crashes, %d outages, %d tainted bytes\n",
-		res.SeedsRun, res.Streams, res.Ops,
-		res.Checkpoints, res.CheckpointRefusals, res.Crashes, res.Outages, res.TaintedBytes)
-	fmt.Fprint(stdout, res.Tables())
+	fmt.Fprintf(stdout, "salus-check: crash PASS: %d seeds, %d ops, %d epochs committed, %d cuts enumerated: %d recovered byte-identical, %d corruptions detected typed\n",
+		res.SeedsRun, res.OpsRun, res.Epochs, res.Cuts, res.Recoveries, res.Detected)
 	return 0
 }
 
-// tenantMain runs the hostile-tenant isolation campaign. The -model
-// flag is ignored: per-tenant key domains are a ModelSalus feature.
-func tenantMain(plan check.TenantPlan, verbose bool, stdout, stderr io.Writer) int {
-	if verbose {
-		plan.Verbose = func(s string) { fmt.Fprintln(stderr, s) }
-	}
-	res := check.RunTenant(plan)
-	if res.Failed() {
-		fmt.Fprintf(stdout, "salus-check: tenant FAIL: %d violations after %d seeds\n", len(res.Violations), res.SeedsRun)
-		for _, v := range res.Violations {
-			fmt.Fprintf(stdout, "  %s\n", v)
-		}
-		return 1
-	}
-	fmt.Fprintf(stdout, "salus-check: tenant PASS: %d seeds, %d workers, %d ops; %d hostile probes (%d denied typed, %d quota refusals), %d/%d replays refused, %d checkpoints (%d refused typed), %d crashes, %d outages, %d tainted bytes\n",
-		res.SeedsRun, res.Workers, res.Ops,
-		res.HostileProbes, res.TypedDenials, res.QuotaRefusals,
-		res.ReplayRefusals, res.ReplayAttacks,
-		res.Checkpoints, res.CheckpointRefusals, res.Crashes, res.Outages, res.TaintedBytes)
-	fmt.Fprintf(stdout, "salus-check: tenant availability: victim %.4f, bystander %.4f (floor %.4f), attacker %.4f under chaos\n",
-		res.VictimAvailability, res.BystanderAvailability, plan.VictimSLO, res.AttackerAvailability)
-	fmt.Fprint(stdout, res.Table())
-	return 0
-}
-
-// linkMain runs the link-chaos campaign. The -model flag is ignored:
-// degraded-mode operation is a ModelSalus feature.
-func linkMain(seeds, ops int, firstSeed int64, pages, devPages, queueCap int, planSpec string, verbose bool, stdout, stderr io.Writer) int {
+func runLink(o *options, stdout io.Writer) int {
 	plan := check.DefaultLinkPlan()
-	plan.Seeds = seeds
-	plan.Ops = ops
-	plan.FirstSeed = firstSeed
-	plan.TotalPages = pages
-	plan.DevicePages = devPages
-	if queueCap > 0 {
-		plan.QueueCap = queueCap
+	plan.SeedRange, plan.Ops = o.seedRange(), o.ops
+	plan.TotalPages, plan.DevicePages = o.pages, o.devPages
+	if o.queueCap > 0 {
+		plan.QueueCap = o.queueCap
 	}
-	if planSpec != "" {
-		if _, err := link.ParsePlan(planSpec); err != nil {
-			fmt.Fprintf(stderr, "salus-check: -linkplan: %v\n", err)
-			return 2
-		}
-		plan.Plans = []check.NamedLinkPlan{{Name: "custom", Spec: planSpec}}
+	if o.linkPlan != "" {
+		plan.Plans = []check.NamedLinkPlan{{Name: "custom", Spec: o.linkPlan}}
 	}
-	if verbose {
-		plan.Verbose = func(s string) { fmt.Fprintln(stderr, s) }
-	}
-
-	res := check.RunLink(plan)
-	if f := res.Failure; f != nil {
-		fmt.Fprintf(stdout, "salus-check: link FAIL: %s\n\n", f)
-		fmt.Fprintf(stdout, "minimal reproducer (%d ops):\n", len(f.Seq.Ops))
-		for i, op := range f.Seq.Ops {
-			fmt.Fprintf(stdout, "  %3d: %v\n", i, op)
-		}
-		np := plan.Plans[0]
-		for _, cand := range plan.Plans {
-			if f.Target == "salus-link/"+cand.Name {
-				np = cand
-			}
-		}
-		fmt.Fprintf(stdout, "\nregression test:\n\n%s", f.LinkGoTest(plan, np, fmt.Sprintf("seed%d", f.Seq.Seed)))
+	res := check.Run(plan)
+	if failed(stdout, "link ", &res.Verdict) {
 		return 1
 	}
 	fmt.Fprintf(stdout, "salus-check: link PASS: %d seeds × %d plans, %d ops, %d flaps, %d rollback probes detected\n",
@@ -434,46 +343,46 @@ func linkMain(seeds, ops int, firstSeed int64, pages, devPages, queueCap int, pl
 	return 0
 }
 
-// crashMain runs the power-loss-injection campaign. The -model flag is
-// ignored: the checkpoint journal is a ModelSalus feature.
-func crashMain(seeds, ops int, firstSeed int64, pages, devPages int, verbose bool, stdout, stderr io.Writer) int {
-	plan := check.DefaultCrashPlan()
-	plan.Seeds = seeds
-	plan.Ops = ops
-	plan.FirstSeed = firstSeed
-	plan.TotalPages = pages
-	plan.DevicePages = devPages
-	if verbose {
-		plan.Verbose = func(s string) { fmt.Fprintln(stderr, s) }
-	}
-
-	res := check.RunCrash(plan)
-	if f := res.Failure; f != nil {
-		fmt.Fprintf(stdout, "salus-check: crash FAIL: %s\n\n", f)
-		fmt.Fprintf(stdout, "minimal reproducer (%d ops):\n", len(f.Seq.Ops))
-		for i, op := range f.Seq.Ops {
-			fmt.Fprintf(stdout, "  %3d: %v\n", i, op)
-		}
-		fmt.Fprintf(stdout, "\nregression test:\n\n%s", f.CrashGoTest(plan, fmt.Sprintf("seed%d", f.Seq.Seed)))
+func runServe(o *options, stdout io.Writer) int {
+	plan := check.DefaultServePlan()
+	o.override(&plan.SeedRange, map[string]*int{"ops": &plan.OpsPerClient, "pages": &plan.TotalPages,
+		"devpages": &plan.DevicePages, "clients": &plan.Clients, "queuecap": &plan.QueueCap})
+	res := check.Run(plan)
+	if failed(stdout, "serve ", &res.Verdict) {
 		return 1
 	}
-	fmt.Fprintf(stdout, "salus-check: crash PASS: %d seeds, %d ops, %d epochs committed, %d cuts enumerated: %d recovered byte-identical, %d corruptions detected typed\n",
-		res.SeedsRun, res.OpsRun, res.Epochs, res.Cuts, res.Recoveries, res.Detected)
+	fmt.Fprintf(stdout, "salus-check: serve PASS: %d seeds, %d streams, %d requests; %d checkpoints (%d refused typed), %d crashes, %d outages, %d tainted bytes\n",
+		res.SeedsRun, res.Streams, res.Ops,
+		res.Checkpoints, res.CheckpointRefusals, res.Crashes, res.Outages, res.TaintedBytes)
+	fmt.Fprint(stdout, res.Tables())
 	return 0
 }
 
-// migrateMain runs the attested live-migration campaign. The -model
-// flag is ignored: migration streams ModelSalus checkpoint journals.
-func migrateMain(plan check.MigratePlan, verbose bool, stdout, stderr io.Writer) int {
-	if verbose {
-		plan.Verbose = func(s string) { fmt.Fprintln(stderr, s) }
+func runTenant(o *options, stdout io.Writer) int {
+	plan := check.DefaultTenantPlan()
+	o.override(&plan.SeedRange, map[string]*int{"ops": &plan.OpsPerWorker, "pages": &plan.PagesPerTenant,
+		"devpages": &plan.FramesPerTenant, "workers": &plan.WorkersPerTenant, "queuecap": &plan.QueueCap})
+	res := check.Run(plan)
+	if failed(stdout, "tenant ", &res.Verdict) {
+		return 1
 	}
-	res := check.RunMigrate(plan)
-	if res.Failed() {
-		fmt.Fprintf(stdout, "salus-check: migrate FAIL: %d violations after %d seeds\n", len(res.Violations), res.SeedsRun)
-		for _, v := range res.Violations {
-			fmt.Fprintf(stdout, "  %s\n", v)
-		}
+	fmt.Fprintf(stdout, "salus-check: tenant PASS: %d seeds, %d workers, %d ops; %d hostile probes (%d denied typed, %d quota refusals), %d/%d replays refused, %d checkpoints (%d refused typed), %d crashes, %d outages, %d tainted bytes\n",
+		res.SeedsRun, res.Workers, res.Ops,
+		res.HostileProbes, res.TypedDenials, res.QuotaRefusals,
+		res.ReplayRefusals, res.ReplayAttacks,
+		res.Checkpoints, res.CheckpointRefusals, res.Crashes, res.Outages, res.TaintedBytes)
+	fmt.Fprintf(stdout, "salus-check: tenant availability: victim %.4f, bystander %.4f (floor %.4f), attacker %.4f under chaos\n",
+		res.Availability("victim"), res.Availability("bystander"), plan.VictimSLO, res.Availability("attacker"))
+	fmt.Fprint(stdout, res.Table())
+	return 0
+}
+
+func runMigrate(o *options, stdout io.Writer) int {
+	plan := check.DefaultMigratePlan()
+	o.override(&plan.SeedRange, map[string]*int{"pages": &plan.PagesPerTenant,
+		"devpages": &plan.FramesPerTenant, "queuecap": &plan.QueueCap})
+	res := check.Run(plan)
+	if failed(stdout, "migrate ", &res.Verdict) {
 		return 1
 	}
 	fmt.Fprintf(stdout, "salus-check: migrate PASS: %d seeds, %d migrations, %d serve requests; %d/%d attacks refused typed, %d crash cuts clean, %d resumes (%d retries), %d identities retired\n",

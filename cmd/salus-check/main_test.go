@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -180,5 +183,68 @@ func TestParseModels(t *testing.T) {
 	}
 	if _, err := parseModels("bogus"); err == nil {
 		t.Error("parseModels accepted an unknown model")
+	}
+}
+
+// TestUnhonouredFlagsExitTwo: a flag set explicitly for a campaign that
+// does not honour it is a usage error, never silently ignored. The first
+// cases are ones that used to exit 0; the rest are derived from the
+// campaign table, so a new flag or campaign is covered without editing
+// this test.
+func TestUnhonouredFlagsExitTwo(t *testing.T) {
+	cases := [][]string{
+		{"-crash", "-queuecap", "4"},
+		{"-migrate", "-ops", "500"},
+		{"-link", "-model", "none"},
+		{"-serve", "-model", "none"},
+	}
+	values := map[string]string{
+		"seeds": "1", "ops": "10", "seed": "1", "model": "salus", "pages": "8", "devpages": "2",
+		"chaos": "recoverable", "clients": "3", "workers": "2", "linkplan": "down@0..5", "queuecap": "4",
+	}
+	for _, c := range campaigns {
+		for name, v := range values {
+			if slices.Contains(c.honours, name) {
+				continue
+			}
+			args := []string{"-" + name, v}
+			if c.mode != "" {
+				args = append([]string{"-" + c.mode}, args...)
+			}
+			cases = append(cases, args)
+		}
+	}
+	for _, args := range cases {
+		var out, errOut bytes.Buffer
+		if code := appMain(args, &out, &errOut); code != 2 {
+			t.Errorf("args %v: exit code %d, want 2", args, code)
+		} else if !strings.Contains(errOut.String(), "not honoured") {
+			t.Errorf("args %v: usage error does not name the unhonoured flag: %q", args, errOut.String())
+		}
+	}
+}
+
+// TestSmokeTargetsAccepted runs every salus-check invocation in the
+// Makefile at one seed: flag validation must accept all of them.
+func TestSmokeTargetsAccepted(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(mk), "\n") {
+		_, rest, ok := strings.Cut(line, "./cmd/salus-check")
+		if !ok {
+			continue
+		}
+		n++
+		args := append(strings.Fields(rest), "-seeds", "1")
+		var out, errOut bytes.Buffer
+		if code := appMain(args, &out, &errOut); code != 0 {
+			t.Errorf("make invocation %v: exit code %d, stderr: %s", args, code, errOut.String())
+		}
+	}
+	if n < 7 {
+		t.Fatalf("found %d salus-check invocations in the Makefile, want the 7 smoke targets", n)
 	}
 }

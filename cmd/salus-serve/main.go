@@ -86,7 +86,7 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		plan.Verbose = func(s string) { fmt.Fprintln(stderr, s) }
 	}
 
-	res := check.RunServe(plan)
+	res := check.Run(plan)
 	if res.Failed() {
 		fmt.Fprintf(stdout, "salus-serve: FAIL: %d violations after %d sessions\n", len(res.Violations), res.SeedsRun)
 		for _, v := range res.Violations {

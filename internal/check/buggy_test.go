@@ -122,7 +122,7 @@ func TestCheckerCatchesReintroducedOverflow(t *testing.T) {
 		t.Errorf("shrunk reproducer has %d ops, want <= 2: %v", len(f.Seq.Ops), f.Seq.Ops)
 	}
 	// And the emitted regression test must reference the failing op.
-	src := f.GoTest(cfg, "overflow")
+	src := f.GoTest("overflow")
 	if !strings.Contains(src, "func TestCheckRegression_overflow") {
 		t.Errorf("GoTest output malformed:\n%s", src)
 	}

@@ -15,11 +15,11 @@ import (
 //     retry budget), nothing is allowed to change: every in-range op must
 //     succeed and return byte-identical oracle plaintext, end to end.
 //   - Under an unrecoverable plan, an in-range op may fail, but only with
-//     a typed fault error (ErrTransient or ErrPoison). Data a failed
-//     write may have half-applied is tainted until a later write lands;
-//     every untainted byte must still match the oracle, and a read that
-//     covers a range the target itself reports as quarantined must never
-//     succeed. A divergence outside those carve-outs — a silent plaintext
+//     a typed fault error (ErrTransient or ErrPoison). A failed write may
+//     have half-applied, so its bytes become ambiguous in that target's
+//     oracle: each must read back as its old value or the value written,
+//     and every other byte must still match exactly. A read that covers a
+//     range the target itself reports as quarantined must never succeed. A divergence outside those carve-outs — a silent plaintext
 //     mismatch, an untyped error, served bytes from a poisoned range — is
 //     a Failure and shrinks to a reproducer like any other bug.
 
@@ -37,9 +37,6 @@ type FaultPlan struct {
 	// It widens the oracle as described above; a plan that injects poison
 	// without declaring it is itself caught as a Failure.
 	Unrecoverable bool
-	// Sink, when non-nil, receives each target's final op stats after a
-	// sequence replays clean, for campaign-level fault accounting.
-	Sink func(target string, st securemem.OpStats)
 }
 
 // ChaosConfig returns cfg armed with the standard chaos fault plan: a
@@ -67,7 +64,7 @@ func faultErr(err error) bool {
 }
 
 // faultStateReporter is the optional Target extension chaos mode uses to
-// assert quarantine semantics and to aggregate fault stats. Targets that
+// assert quarantine semantics and to sum fault stats into Result.Faults. Targets that
 // do not implement it (e.g. the plain oracle-like test targets) are held
 // to the plain byte-equivalence rules only.
 type faultStateReporter interface {

@@ -2,30 +2,11 @@ package check
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/salus-sim/salus/internal/fault"
 	"github.com/salus-sim/salus/internal/securemem"
 )
-
-// statSink accumulates per-target fault stats across a campaign.
-type statSink struct {
-	mu     sync.Mutex
-	totals securemem.OpStats
-}
-
-func (s *statSink) add(_ string, st securemem.OpStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.totals.TransientFaults += st.TransientFaults
-	s.totals.PoisonFaults += st.PoisonFaults
-	s.totals.StuckBitFaults += st.StuckBitFaults
-	s.totals.Retries += st.Retries
-	s.totals.FramesQuarantined += st.FramesQuarantined
-	s.totals.ChunksPoisoned += st.ChunksPoisoned
-	s.totals.PagesPinned += st.PagesPinned
-}
 
 // TestChaosRecoverableByteIdentical is the headline chaos property at the
 // full CI smoke budget: under a recoverable-only fault plan (transient
@@ -33,19 +14,16 @@ func (s *statSink) add(_ string, st securemem.OpStats) {
 // byte-identical oracle plaintext end to end — faults fire, retries
 // happen, and nothing observable changes.
 func TestChaosRecoverableByteIdentical(t *testing.T) {
-	cfg := ChaosConfig(DefaultConfig(), false)
-	sink := &statSink{}
-	cfg.Fault.Sink = sink.add
-	res := Run(cfg)
+	res := Run(ChaosConfig(DefaultConfig(), false))
 	if res.Failure != nil {
 		t.Fatalf("recoverable fault plan broke equivalence:\n%s", res.Failure)
 	}
-	if sink.totals.TransientFaults == 0 || sink.totals.Retries == 0 {
+	if res.Faults.TransientFaults == 0 || res.Faults.Retries == 0 {
 		t.Fatalf("chaos campaign injected no faults (transient=%d retries=%d) — the plan is not wired in",
-			sink.totals.TransientFaults, sink.totals.Retries)
+			res.Faults.TransientFaults, res.Faults.Retries)
 	}
-	if sink.totals.PoisonFaults != 0 || sink.totals.StuckBitFaults != 0 {
-		t.Fatalf("recoverable plan emitted uncorrectable faults: %+v", sink.totals)
+	if res.Faults.PoisonFaults != 0 || res.Faults.StuckBitFaults != 0 {
+		t.Fatalf("recoverable plan emitted uncorrectable faults: %+v", res.Faults)
 	}
 }
 
@@ -55,18 +33,15 @@ func TestChaosRecoverableByteIdentical(t *testing.T) {
 // silent plaintext divergence, untyped error, or read served from a
 // quarantined range as a Failure.
 func TestChaosUnrecoverableNoSilentDivergence(t *testing.T) {
-	cfg := ChaosConfig(DefaultConfig(), true)
-	sink := &statSink{}
-	cfg.Fault.Sink = sink.add
-	res := Run(cfg)
+	res := Run(ChaosConfig(DefaultConfig(), true))
 	if res.Failure != nil {
 		t.Fatalf("unrecoverable fault plan produced a silent divergence:\n%s", res.Failure)
 	}
-	if sink.totals.PoisonFaults+sink.totals.StuckBitFaults == 0 {
+	if res.Faults.PoisonFaults+res.Faults.StuckBitFaults == 0 {
 		t.Fatal("unrecoverable campaign never injected an uncorrectable fault — rates too low for the budget")
 	}
-	if sink.totals.ChunksPoisoned == 0 && sink.totals.FramesQuarantined == 0 {
-		t.Fatalf("uncorrectable faults fired but nothing was quarantined: %+v", sink.totals)
+	if res.Faults.ChunksPoisoned == 0 && res.Faults.FramesQuarantined == 0 {
+		t.Fatalf("uncorrectable faults fired but nothing was quarantined: %+v", res.Faults)
 	}
 }
 
@@ -145,20 +120,15 @@ func TestChaosScriptedDeterministicReplay(t *testing.T) {
 		},
 		Policy: securemem.RetryPolicy{MaxRetries: 4, BaseBackoff: 8, MaxBackoff: 64},
 	}
+	cfg.Models = []securemem.Model{securemem.ModelSalus}
 	var runs []securemem.OpStats
-	cfg.Fault.Sink = func(name string, st securemem.OpStats) {
-		if name == securemem.ModelSalus.String() {
-			runs = append(runs, st)
-		}
-	}
 	seq := GenerateSequence(cfg, 42)
 	for i := 0; i < 2; i++ {
-		if f := ReplaySequence(cfg, seq); f != nil {
+		f, faults := cfg.replay(seq)
+		if f != nil {
 			t.Fatalf("replay %d failed: %v", i, f)
 		}
-	}
-	if len(runs) != 2 {
-		t.Fatalf("sink saw %d salus runs, want 2", len(runs))
+		runs = append(runs, faults)
 	}
 	if runs[0] != runs[1] {
 		t.Fatalf("replay is not deterministic:\n  first:  %+v\n  second: %+v", runs[0], runs[1])
@@ -173,8 +143,8 @@ func TestChaosScriptedDeterministicReplay(t *testing.T) {
 // same fault schedule.
 func TestChaosGoTestEmitsArming(t *testing.T) {
 	cfg := ChaosConfig(DefaultConfig(), true)
-	f := &Failure{Seq: Sequence{Seed: 7, Ops: []Op{{Kind: OpFlush}}}}
-	src := f.GoTest(cfg, "chaos")
+	f := &Failure{Seq: Sequence{Seed: 7, Ops: []Op{{Kind: OpFlush}}}, Replayer: cfg}
+	src := f.GoTest("chaos")
 	if !strings.Contains(src, "cfg = check.ChaosConfig(cfg, true)") {
 		t.Errorf("GoTest output missing chaos arming line:\n%s", src)
 	}

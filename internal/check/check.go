@@ -26,8 +26,10 @@ package check
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/salus-sim/salus/internal/config"
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 )
 
@@ -110,21 +112,14 @@ type Sequence struct {
 	Ops  []Op
 }
 
-// Config sizes a checking campaign.
+// Config sizes a differential checking campaign.
 type Config struct {
-	Seeds     int   // seeds run by Run
-	Ops       int   // operations per generated sequence
-	FirstSeed int64 // Run covers [FirstSeed, FirstSeed+Seeds)
-
-	TotalPages  int // home (CXL) pages; keep small so sweeps stay fast
-	DevicePages int // device frames; << TotalPages to force eviction churn
-	Geometry    config.Geometry
+	SeedRange
+	Ops int // operations per generated sequence
+	Space
 
 	// Models replayed differentially; the []byte oracle is always present.
 	Models []securemem.Model
-
-	// Verbose, when non-nil, receives per-seed progress lines.
-	Verbose func(string)
 
 	// NewTargets overrides target construction. Tests use it to aim the
 	// checker at deliberately broken implementations and prove it catches
@@ -136,8 +131,8 @@ type Config struct {
 	// the recovery contract (see FaultPlan).
 	Fault *FaultPlan
 
-	// faultSeed is the seed handed to Fault.New; ReplaySequence sets it
-	// from the sequence being replayed so reproducers are deterministic.
+	// faultSeed is the seed handed to Fault.New; Replay sets it from the
+	// sequence being replayed so reproducers are deterministic.
 	faultSeed int64
 }
 
@@ -147,20 +142,16 @@ type Config struct {
 // migration and eviction pressure.
 func DefaultConfig() Config {
 	return Config{
-		Seeds:     25,
+		SeedRange: SeedRange{Seeds: 25, FirstSeed: 1},
 		Ops:       200,
-		FirstSeed: 1,
-
-		TotalPages:  12,
-		DevicePages: 3,
-		Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
-
+		Space: Space{
+			TotalPages:  12,
+			DevicePages: 3,
+			Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
+		},
 		Models: []securemem.Model{securemem.ModelNone, securemem.ModelConventional, securemem.ModelSalus},
 	}
 }
-
-// size returns the home address-space size in bytes.
-func (c Config) size() uint64 { return uint64(c.TotalPages) * uint64(c.Geometry.PageSize) }
 
 func (c Config) targets() ([]Target, error) {
 	if c.NewTargets != nil {
@@ -188,6 +179,10 @@ type Failure struct {
 	// failures use it to name the crash point ("cut 17/80 (torn)") that
 	// the whole sequence, not one op, led to.
 	Loc string
+	// Replayer replays Seq under the configuration that failed; Run
+	// shrinks with it and GoTest emits it. Nil for failures no sequence
+	// reproduces, such as a failed probe.
+	Replayer Replayer
 }
 
 // String renders the failure with its location inside the sequence.
@@ -204,127 +199,99 @@ func (f *Failure) String() string {
 	return fmt.Sprintf("seed %d, %s, target %s: %s", f.Seq.Seed, loc, f.Target, f.Reason)
 }
 
-// Result summarises a Run.
+// Result summarises a differential campaign, or one seed of it.
 type Result struct {
-	SeedsRun int
-	OpsRun   int
-	Failure  *Failure // nil when every seed replayed clean
+	Verdict
+	OpsRun int
+	// Faults sums every fault-armed target's final op stats (chaos mode).
+	Faults securemem.OpStats
 }
 
-// Run generates and replays cfg.Seeds sequences. On the first failure it
-// shrinks the sequence to a minimal reproducer and stops.
-func Run(cfg Config) Result {
-	var res Result
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.FirstSeed + int64(i)
-		seq := GenerateSequence(cfg, seed)
-		res.SeedsRun++
-		res.OpsRun += len(seq.Ops)
-		f := ReplaySequence(cfg, seq)
-		if f == nil {
-			if cfg.Verbose != nil {
-				cfg.Verbose(fmt.Sprintf("seed %d: %d ops clean", seed, len(seq.Ops)))
-			}
-			continue
-		}
-		min := Shrink(cfg, f.Seq)
-		// Re-replay the minimal sequence so the failure's location and
-		// reason describe it, not the original.
-		if mf := ReplaySequence(cfg, min); mf != nil {
-			f = mf
-		}
-		res.Failure = f
-		return res
+func (r *Result) progress() string { return fmt.Sprintf("%d ops", r.OpsRun) }
+
+func (c Config) seedRange() SeedRange { return c.SeedRange }
+
+func (c Config) runSeed(seed int64) Result {
+	seq := GenerateSequence(c, seed)
+	r := Result{OpsRun: len(seq.Ops)}
+	r.Failure, r.Faults = c.replay(seq)
+	return r
+}
+
+// Replay replays one sequence against freshly built targets, each held
+// to its own oracle, returning the first invariant violation or nil.
+func (c Config) Replay(seq Sequence) *Failure {
+	f, _ := c.replay(seq)
+	return f
+}
+
+func (c Config) goSetup(b *strings.Builder) (string, string) {
+	b.WriteString("\tcfg := check.DefaultConfig()\n")
+	fmt.Fprintf(b, "\tcfg.TotalPages = %d\n\tcfg.DevicePages = %d\n", c.TotalPages, c.DevicePages)
+	if c.Fault != nil {
+		// Re-arm the standard chaos plan. A custom FaultPlan cannot be
+		// rendered as source; the emitted reproducer approximates it with
+		// ChaosConfig at the same recoverability level.
+		fmt.Fprintf(b, "\tcfg = check.ChaosConfig(cfg, %v)\n", c.Fault.Unrecoverable)
 	}
-	return res
+	return "Check", "cfg"
 }
 
-// ReplaySequence replays one sequence against freshly built targets and a
-// zeroed oracle, returning the first invariant violation or nil.
-func ReplaySequence(cfg Config, seq Sequence) *Failure {
-	cfg.faultSeed = seq.Seed
-	targets, err := cfg.targets()
+// replay is Replay, also returning the targets' summed fault stats after
+// a clean replay.
+func (c Config) replay(seq Sequence) (*Failure, securemem.OpStats) {
+	var faults securemem.OpStats
+	c.faultSeed = seq.Seed
+	targets, err := c.targets()
 	if err != nil {
-		return &Failure{Seq: seq, OpIdx: -1, Reason: fmt.Sprintf("target setup: %v", err)}
+		return &Failure{Seq: seq, OpIdx: -1, Reason: fmt.Sprintf("target setup: %v", err), Replayer: c}, faults
 	}
-	st := replayState{cfg: cfg, targets: targets, oracle: make([]byte, cfg.size())}
-	if cfg.Fault != nil && cfg.Fault.Unrecoverable {
-		st.taint = make([][]bool, len(targets))
-		for i := range st.taint {
-			st.taint[i] = make([]bool, cfg.size())
-		}
+	st := replayState{cfg: c, targets: targets, size: c.size()}
+	for range targets {
+		st.oracles = append(st.oracles, oracle.New(int(st.size)))
 	}
 	for i, op := range seq.Ops {
 		if f := st.apply(op); f != nil {
-			f.Seq, f.OpIdx = seq, i
-			return f
+			f.Seq, f.OpIdx, f.Replayer = seq, i, c
+			return f, faults
 		}
 	}
 	if f := st.finalSweep(); f != nil {
-		f.Seq, f.OpIdx = seq, len(seq.Ops)
-		return f
+		f.Seq, f.OpIdx, f.Replayer = seq, len(seq.Ops), c
+		return f, faults
 	}
-	if cfg.Fault != nil && cfg.Fault.Sink != nil {
-		for _, t := range targets {
-			if r, ok := t.(faultStateReporter); ok {
-				cfg.Fault.Sink(t.Name(), r.FaultStats())
-			}
+	for _, t := range targets {
+		if r, ok := t.(faultStateReporter); ok && c.Fault != nil {
+			fs := r.FaultStats()
+			add(&faults, &fs)
 		}
 	}
-	return nil
+	return nil, faults
 }
 
 type replayState struct {
 	cfg     Config
 	targets []Target
-	oracle  []byte
-	// taint marks, per target, bytes a fault-failed write may have left
-	// half-applied; they are excluded from oracle comparison until a
-	// later successful write covers them. Nil outside unrecoverable
-	// chaos mode.
-	taint [][]bool
-}
-
-// setTaint marks or clears [addr, addr+n) in target ti's taint map.
-func (st *replayState) setTaint(ti int, addr uint64, n int, v bool) {
-	if st.taint == nil {
-		return
-	}
-	row := st.taint[ti]
-	for i := uint64(0); i < uint64(n); i++ {
-		row[addr+i] = v
-	}
-}
-
-// mismatch returns the first index where got differs from want outside
-// target ti's tainted bytes, or -1 when they agree.
-func (st *replayState) mismatch(ti int, addr uint64, got, want []byte) int {
-	for i := range got {
-		if got[i] == want[i] {
-			continue
-		}
-		if st.taint != nil && st.taint[ti][addr+uint64(i)] {
-			continue
-		}
-		return i
-	}
-	return -1
+	size    uint64
+	// oracles holds one oracle per target: a write that fails typed under
+	// an unrecoverable fault plan leaves that target's bytes ambiguous
+	// between their old and new values, and only that target's.
+	oracles []*oracle.Bytes
 }
 
 // wantErr reports whether every target must reject the op.
 func (st *replayState) wantErr(op Op) bool {
-	size := uint64(len(st.oracle))
 	switch op.Kind {
 	case OpFlush, OpSuspendResume, OpEpochCheckpoint, OpDrainWritebacks:
 		return false
 	case OpCheckpoint:
-		return op.Addr >= size
+		return op.Addr >= st.size
 	}
-	return op.Addr > size || uint64(op.Len) > size-op.Addr
+	return op.Addr > st.size || uint64(op.Len) > st.size-op.Addr
 }
 
-// apply runs one op on every target, then checks equivalence against the
-// oracle and each target's internal invariants.
+// apply runs one op on every target, then checks equivalence against each
+// target's oracle and each target's internal invariants.
 func (st *replayState) apply(op Op) *Failure {
 	reject := st.wantErr(op)
 	unrec := st.cfg.Fault != nil && st.cfg.Fault.Unrecoverable
@@ -338,16 +305,11 @@ func (st *replayState) apply(op Op) *Failure {
 		var buf []byte
 		var err error
 		switch op.Kind {
-		case OpRead:
+		case OpRead, OpReadThrough:
 			buf = make([]byte, op.Len)
-			err = safely(func() error { return t.Read(op.Addr, buf) })
-		case OpReadThrough:
-			buf = make([]byte, op.Len)
-			err = safely(func() error { return t.ReadThrough(op.Addr, buf) })
-		case OpWrite:
-			err = safely(func() error { return t.Write(op.Addr, data) })
-		case OpWriteThrough:
-			err = safely(func() error { return t.WriteThrough(op.Addr, data) })
+			err = safely(func() error { return access(t, op, buf) })
+		case OpWrite, OpWriteThrough:
+			err = safely(func() error { return access(t, op, data) })
 		case OpCheckpoint:
 			err = safely(func() error { return t.Checkpoint(op.Addr) })
 		case OpFlush:
@@ -367,7 +329,10 @@ func (st *replayState) apply(op Op) *Failure {
 		if reject && err == nil {
 			return &Failure{Target: t.Name(), Reason: "accepted an out-of-range operation"}
 		}
-		if !reject && err != nil {
+		if reject {
+			continue
+		}
+		if err != nil {
 			if !unrec {
 				return &Failure{Target: t.Name(), Reason: fmt.Sprintf("rejected an in-range operation: %v", err)}
 			}
@@ -375,35 +340,26 @@ func (st *replayState) apply(op Op) *Failure {
 				return &Failure{Target: t.Name(), Reason: fmt.Sprintf("in-range operation failed with a non-fault error: %v", err)}
 			}
 			// A typed fault surfaced — the unrecoverable-plan contract. A
-			// failed write may have landed partially; taint its range so
-			// later compares skip those bytes until a write succeeds.
+			// failed write may have landed partially.
 			if write {
-				st.setTaint(ti, op.Addr, op.Len, true)
+				st.oracles[ti].Ambiguous(int(op.Addr), data)
 			}
 			continue
 		}
-		if !reject && write {
-			st.setTaint(ti, op.Addr, op.Len, false)
+		if write {
+			st.oracles[ti].Write(int(op.Addr), data)
 		}
-		if !reject && (op.Kind == OpRead || op.Kind == OpReadThrough) {
-			if unrec && op.Len > 0 {
-				if r, ok := t.(faultStateReporter); ok && r.PoisonedRange(op.Addr, op.Len) {
-					return &Failure{Target: t.Name(), Reason: fmt.Sprintf("read at %#x served bytes from a quarantined range", op.Addr)}
-				}
-			}
-			want := st.oracle[op.Addr : op.Addr+uint64(op.Len)]
-			if i := st.mismatch(ti, op.Addr, buf, want); i >= 0 {
-				return &Failure{Target: t.Name(), Reason: diffReason("read", op.Addr, i, buf, want)}
+		if op.Kind == OpRead || op.Kind == OpReadThrough {
+			if f := st.observe(ti, "read", op.Addr, buf); f != nil {
+				return f
 			}
 		}
 	}
 
-	// Commit in-range writes to the oracle, then read them back from every
-	// target so write-class divergence surfaces on the very op that caused
-	// it, not on some later read. Targets whose write failed under an
-	// unrecoverable fault plan carry taint instead of the new bytes.
+	// Read in-range writes back from every target so write-class
+	// divergence surfaces on the very op that caused it, not on some
+	// later read.
 	if !reject && write {
-		copy(st.oracle[op.Addr:], data)
 		if f := st.verifyRange(op.Addr, op.Len); f != nil {
 			return f
 		}
@@ -417,11 +373,25 @@ func (st *replayState) apply(op Op) *Failure {
 	return nil
 }
 
-// verifyRange reads [addr, addr+n) back from every target and compares it
-// with the oracle, using each target's least-intrusive read path.
+// observe checks bytes target ti served at addr: never from a range the
+// target itself reports quarantined, and always what its oracle allows.
+func (st *replayState) observe(ti int, what string, addr uint64, buf []byte) *Failure {
+	t := st.targets[ti]
+	if st.cfg.Fault != nil && st.cfg.Fault.Unrecoverable && len(buf) > 0 {
+		if r, ok := t.(faultStateReporter); ok && r.PoisonedRange(addr, len(buf)) {
+			return &Failure{Target: t.Name(), Reason: fmt.Sprintf("%s at %#x served bytes from a quarantined range", what, addr)}
+		}
+	}
+	if err := st.oracles[ti].Observe(int(addr), buf); err != nil {
+		return &Failure{Target: t.Name(), Reason: fmt.Sprintf("%s at %#x diverged from oracle: %v", what, addr, err)}
+	}
+	return nil
+}
+
+// verifyRange reads [addr, addr+n) back from every target and checks it
+// against the target's oracle, using its least-intrusive read path.
 func (st *replayState) verifyRange(addr uint64, n int) *Failure {
 	unrec := st.cfg.Fault != nil && st.cfg.Fault.Unrecoverable
-	want := st.oracle[addr : addr+uint64(n)]
 	for ti, t := range st.targets {
 		buf := make([]byte, n)
 		if err := safely(func() error { return t.VerifyRead(addr, buf) }); err != nil {
@@ -433,33 +403,22 @@ func (st *replayState) verifyRange(addr uint64, n int) *Failure {
 			}
 			return &Failure{Target: t.Name(), Reason: fmt.Sprintf("verify read at %#x: %v", addr, err)}
 		}
-		if unrec && n > 0 {
-			if r, ok := t.(faultStateReporter); ok && r.PoisonedRange(addr, n) {
-				return &Failure{Target: t.Name(), Reason: fmt.Sprintf("verify read at %#x served bytes from a quarantined range", addr)}
-			}
-		}
-		if i := st.mismatch(ti, addr, buf, want); i >= 0 {
-			return &Failure{Target: t.Name(), Reason: diffReason("verify read", addr, i, buf, want)}
-		}
-	}
-	return nil
-}
-
-// finalSweep compares every byte of every target against the oracle.
-func (st *replayState) finalSweep() *Failure {
-	stride := st.cfg.Geometry.ChunkSize
-	for addr := uint64(0); addr < uint64(len(st.oracle)); addr += uint64(stride) {
-		if f := st.verifyRange(addr, stride); f != nil {
+		if f := st.observe(ti, "verify read", addr, buf); f != nil {
 			return f
 		}
 	}
 	return nil
 }
 
-// diffReason renders a plaintext divergence at the given byte index.
-func diffReason(what string, addr uint64, i int, got, want []byte) string {
-	return fmt.Sprintf("%s at %#x diverged from oracle at byte %d: got %#x want %#x",
-		what, addr, i, got[i], want[i])
+// finalSweep checks every byte of every target against its oracle.
+func (st *replayState) finalSweep() *Failure {
+	stride := st.cfg.Geometry.ChunkSize
+	for addr := uint64(0); addr < st.size; addr += uint64(stride) {
+		if f := st.verifyRange(addr, stride); f != nil {
+			return f
+		}
+	}
+	return nil
 }
 
 // panicError marks a recovered panic. A panic is always a failure, even

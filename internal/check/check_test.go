@@ -38,7 +38,7 @@ func TestSmokeBudgetClean(t *testing.T) {
 	res := Run(DefaultConfig())
 	if res.Failure != nil {
 		t.Fatalf("smoke budget failed:\n%s\n\nminimal reproducer:\n%s",
-			res.Failure, res.Failure.GoTest(DefaultConfig(), "smoke"))
+			res.Failure, res.Failure.GoTest("smoke"))
 	}
 }
 
@@ -155,7 +155,7 @@ func TestShrinkProducesMinimalReproducer(t *testing.T) {
 	}
 	// And replaying the shrunk sequence against the same faulty target
 	// must still fail — the reproducer is self-contained.
-	if ReplaySequence(cfg, res.Failure.Seq) == nil {
+	if cfg.Replay(res.Failure.Seq) == nil {
 		t.Error("shrunk sequence does not reproduce the failure")
 	}
 }
@@ -168,11 +168,12 @@ func TestGoTestRendering(t *testing.T) {
 			{Kind: OpFlush},
 			{Kind: OpRead, Addr: 0x40, Len: 33},
 		}},
-		OpIdx:  2,
-		Target: "salus",
-		Reason: "example",
+		OpIdx:    2,
+		Target:   "salus",
+		Reason:   "example",
+		Replayer: cfg,
 	}
-	src := f.GoTest(cfg, "example")
+	src := f.GoTest("example")
 	for _, want := range []string{
 		"func TestCheckRegression_example(t *testing.T)",
 		"check.DefaultConfig()",
@@ -181,7 +182,7 @@ func TestGoTestRendering(t *testing.T) {
 		"{Kind: check.OpWrite, Addr: 0x40, Len: 33, Tag: 3},",
 		"{Kind: check.OpFlush},",
 		"{Kind: check.OpRead, Addr: 0x40, Len: 33},",
-		"check.ReplaySequence(cfg, seq)",
+		"cfg.Replay(seq)",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("emitted test missing %q:\n%s", want, src)

@@ -1,13 +1,14 @@
 package check
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/crash"
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 )
 
@@ -36,8 +37,8 @@ import (
 //   - recovering from the undamaged journal yields a system whose every
 //     byte reads back equal to the oracle as of the last commit.
 //
-// A violation shrinks (ShrinkCrash) to a minimal sequence and renders as a
-// regression test (CrashGoTest), like any other checker failure.
+// A violation shrinks to a minimal sequence and renders as a regression
+// test, like any other checker failure.
 
 // crashTarget names the implicit target of crash-mode failures; crash mode
 // is not differential across models — the journal is a ModelSalus feature.
@@ -45,21 +46,15 @@ const crashTarget = "salus-crash"
 
 // CrashPlan sizes a crash-recovery campaign.
 type CrashPlan struct {
-	Seeds     int   // seeds run by RunCrash
-	Ops       int   // operations per generated sequence (checkpoints included)
-	FirstSeed int64 // RunCrash covers [FirstSeed, FirstSeed+Seeds)
+	SeedRange
+	Ops int // operations per generated sequence (checkpoints included)
 
 	// CheckpointEvery replaces every CheckpointEvery-th generated op with
 	// an epoch checkpoint; a final checkpoint is always appended. <= 0
 	// means only the baseline and final checkpoints.
 	CheckpointEvery int
 
-	TotalPages  int // home (CXL) pages
-	DevicePages int // device frames; << TotalPages keeps migration pressure up
-	Geometry    config.Geometry
-
-	// Verbose, when non-nil, receives per-seed progress lines.
-	Verbose func(string)
+	Space
 }
 
 // DefaultCrashPlan returns the smoke-budget crash campaign used by
@@ -69,77 +64,53 @@ type CrashPlan struct {
 // hundred recoveries per seed.
 func DefaultCrashPlan() CrashPlan {
 	return CrashPlan{
-		Seeds:           8,
+		SeedRange:       SeedRange{Seeds: 8, FirstSeed: 1},
 		Ops:             72,
-		FirstSeed:       1,
 		CheckpointEvery: 12,
-
-		TotalPages:  8,
-		DevicePages: 2,
-		Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
+		Space: Space{
+			TotalPages:  8,
+			DevicePages: 2,
+			Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
+		},
 	}
 }
 
-// size returns the home address-space size in bytes.
-func (p CrashPlan) size() uint64 { return uint64(p.TotalPages) * uint64(p.Geometry.PageSize) }
-
-// memConfig returns the securemem configuration of the checked system.
-func (p CrashPlan) memConfig() securemem.Config {
-	return securemem.Config{
-		Geometry:    p.Geometry,
-		Model:       securemem.ModelSalus,
-		TotalPages:  p.TotalPages,
-		DevicePages: p.DevicePages,
-	}
-}
-
-// CrashResult summarises a RunCrash campaign.
+// CrashResult summarises a crash-recovery campaign, or one seed of it.
 type CrashResult struct {
-	SeedsRun   int
+	Verdict
 	OpsRun     int
 	Epochs     int // checkpoint epochs committed across all golden runs
 	Cuts       int // (crash point × damage mode) recoveries attempted
 	Recoveries int // recoveries that reconstructed the epoch byte-identically
 	Detected   int // corrupting cuts that surfaced a typed detection error
-	Failure    *Failure
 }
 
-// RunCrash generates and crash-replays plan.Seeds sequences. On the first
-// violation it shrinks the sequence to a minimal reproducer and stops.
-func RunCrash(plan CrashPlan) CrashResult {
-	var res CrashResult
-	for i := 0; i < plan.Seeds; i++ {
-		seed := plan.FirstSeed + int64(i)
-		seq := GenerateCrashSequence(plan, seed)
-		res.SeedsRun++
-		res.OpsRun += len(seq.Ops)
-		before := res
-		f := crashReplay(plan, seq, &res)
-		if f == nil {
-			if plan.Verbose != nil {
-				plan.Verbose(fmt.Sprintf("seed %d: %d ops, %d epochs, %d cuts (%d recovered, %d detected)",
-					seed, len(seq.Ops), res.Epochs-before.Epochs, res.Cuts-before.Cuts,
-					res.Recoveries-before.Recoveries, res.Detected-before.Detected))
-			}
-			continue
-		}
-		min := ShrinkCrash(plan, f.Seq)
-		// Re-replay the minimal sequence so the failure describes it.
-		if mf := ReplayCrashSequence(plan, min); mf != nil {
-			f = mf
-		}
-		res.Failure = f
-		return res
-	}
-	return res
+func (r *CrashResult) progress() string {
+	return fmt.Sprintf("%d ops, %d epochs, %d cuts (%d recovered, %d detected)",
+		r.OpsRun, r.Epochs, r.Cuts, r.Recoveries, r.Detected)
 }
 
-// ReplayCrashSequence crash-replays one sequence: golden run, exhaustive
-// cut enumeration, rollback probe, and final plaintext sweep. It returns
-// the first contract violation or nil.
-func ReplayCrashSequence(plan CrashPlan, seq Sequence) *Failure {
+func (p CrashPlan) seedRange() SeedRange { return p.SeedRange }
+
+func (p CrashPlan) runSeed(seed int64) CrashResult {
+	seq := GenerateCrashSequence(p, seed)
+	r := CrashResult{OpsRun: len(seq.Ops)}
+	r.Failure = p.replay(seq, &r)
+	return r
+}
+
+// Replay crash-replays one sequence: golden run, exhaustive cut
+// enumeration, rollback probe, and final plaintext sweep. It returns the
+// first contract violation or nil.
+func (p CrashPlan) Replay(seq Sequence) *Failure {
 	var scratch CrashResult
-	return crashReplay(plan, seq, &scratch)
+	return p.replay(seq, &scratch)
+}
+
+func (p CrashPlan) goSetup(b *strings.Builder) (string, string) {
+	b.WriteString("\tplan := check.DefaultCrashPlan()\n")
+	fmt.Fprintf(b, "\tplan.TotalPages = %d\n\tplan.DevicePages = %d\n", p.TotalPages, p.DevicePages)
+	return "Crash", "plan"
 }
 
 // GenerateCrashSequence produces the deterministic crash-mode workload for
@@ -150,46 +121,15 @@ func ReplayCrashSequence(plan CrashPlan, seq Sequence) *Failure {
 // checker's job; crash mode wants maximal dirty-state churn between
 // commits.
 func GenerateCrashSequence(plan CrashPlan, seed int64) Sequence {
-	rng := rand.New(rand.NewSource(seed))
-	g := plan.Geometry
-
-	genAddr := func() uint64 {
-		page := rng.Intn(plan.TotalPages)
-		var off int
-		switch rng.Intn(4) {
-		case 0: // a few bytes before a chunk boundary: forces a straddle
-			c := 1 + rng.Intn(g.ChunksPerPage()-1)
-			off = c*g.ChunkSize - (1 + rng.Intn(4))
-		case 1: // sector-aligned
-			off = rng.Intn(g.SectorsPerPage()) * g.SectorSize
-		case 2: // chunk-aligned
-			off = rng.Intn(g.ChunksPerPage()) * g.ChunkSize
-		default:
-			off = rng.Intn(g.PageSize)
-		}
-		return uint64(page*g.PageSize + off)
+	g := gen{rng: rand.New(rand.NewSource(seed)), s: plan.Space}
+	mix := opMix{
+		{34, OpWrite},        // cached write: dirties device chunks
+		{50, OpRead},         // cached read: migration churn
+		{66, OpWriteThrough}, // direct CXL write: split-counter state
+		{76, OpReadThrough},  // direct CXL read
+		{88, OpCheckpoint},   // chunk checkpoint: collapses split counters
+		{100, OpFlush},       // flush: evicts everything, mass home mutation
 	}
-	genLen := func() int {
-		switch rng.Intn(6) {
-		case 0:
-			return 1 + rng.Intn(4)
-		case 1:
-			return g.SectorSize
-		case 2:
-			return g.SectorSize + 1
-		case 3:
-			return g.ChunkSize/2 + rng.Intn(g.ChunkSize)
-		default:
-			return 1 + rng.Intn(2*g.SectorSize)
-		}
-	}
-	clampLen := func(addr uint64, n int) int {
-		if max := plan.size() - addr; uint64(n) > max {
-			return int(max)
-		}
-		return n
-	}
-
 	ops := make([]Op, 0, plan.Ops+2)
 	var tag byte
 	for i := 0; i < plan.Ops; i++ {
@@ -197,26 +137,7 @@ func GenerateCrashSequence(plan CrashPlan, seed int64) Sequence {
 			ops = append(ops, Op{Kind: OpEpochCheckpoint})
 			continue
 		}
-		switch r := rng.Intn(100); {
-		case r < 34: // cached write: dirties device chunks
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWrite, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 50: // cached read: migration churn
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpRead, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 66: // direct CXL write: split-counter state
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWriteThrough, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 76: // direct CXL read
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpReadThrough, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 88: // chunk checkpoint: collapses split counters
-			ops = append(ops, Op{Kind: OpCheckpoint, Addr: genAddr()})
-		default: // flush: evicts everything, mass home mutation
-			ops = append(ops, Op{Kind: OpFlush})
-		}
+		ops = append(ops, g.op(mix, &tag))
 	}
 	if len(ops) == 0 || ops[len(ops)-1].Kind != OpEpochCheckpoint {
 		ops = append(ops, Op{Kind: OpEpochCheckpoint})
@@ -231,16 +152,15 @@ type crashMark struct {
 	root   securemem.TrustedRoot
 	points int // tape.Points() when Checkpoint returned
 	digest [32]byte
-	oracle []byte
+	want   *oracle.Bytes
 }
 
-// crashReplay is the shared implementation behind RunCrash and
-// ReplayCrashSequence, accumulating campaign counters into res.
-func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
-	cfg := plan.memConfig()
-	size := plan.size()
+// replay is Replay, accumulating campaign counters into res.
+func (p CrashPlan) replay(seq Sequence, res *CrashResult) *Failure {
+	cfg := p.memConfig()
+	size := p.size()
 	fail := func(idx int, loc, format string, a ...any) *Failure {
-		return &Failure{Seq: seq, OpIdx: idx, Loc: loc, Target: crashTarget, Reason: fmt.Sprintf(format, a...)}
+		return &Failure{Seq: seq, OpIdx: idx, Loc: loc, Target: crashTarget, Reason: fmt.Sprintf(format, a...), Replayer: p}
 	}
 
 	// --- Golden run: the workload, journaled onto a tape. ---
@@ -250,7 +170,7 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 	}
 	tape := &crash.Tape{}
 	j := crash.NewJournal(tape)
-	oracle := make([]byte, size)
+	want := oracle.New(int(size))
 	var marks []crashMark
 
 	checkpoint := func() error {
@@ -262,20 +182,14 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 			root:   root,
 			points: tape.Points(),
 			digest: sys.StateDigest(),
-			oracle: append([]byte(nil), oracle...),
+			want:   want.Snapshot(),
 		})
 		res.Epochs++
 		return nil
 	}
-	// Residency check mirroring the securemem through-path contract (and
-	// systemTarget.throughOK): degrade to the cached path when either end
-	// of the range is resident.
-	throughOK := func(addr uint64, n int) bool {
-		if sys.IsResident(securemem.HomeAddr(addr)) {
-			return false
-		}
-		return n == 0 || !sys.IsResident(securemem.HomeAddr(addr+uint64(n)-1))
-	}
+	// Through-ops degrade to the cached path as the differential target's
+	// do, when either end of the range is resident.
+	t := &systemTarget{model: securemem.ModelSalus, sys: sys}
 
 	// Baseline epoch: commit before any ops, so every crash point from the
 	// first commit onwards pairs with a recoverable epoch. A fresh system
@@ -294,23 +208,15 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 		switch op.Kind {
 		case OpRead, OpReadThrough:
 			buf := make([]byte, op.Len)
-			if op.Kind == OpReadThrough && throughOK(op.Addr, op.Len) {
-				err = sys.ReadThrough(securemem.HomeAddr(op.Addr), buf)
-			} else {
-				err = sys.Read(securemem.HomeAddr(op.Addr), buf)
-			}
-			if err == nil && !bytes.Equal(buf, oracle[op.Addr:op.Addr+uint64(op.Len)]) {
-				return fail(i, "", "golden run diverged from the oracle")
+			if err = access(t, op, buf); err == nil {
+				if d := want.Observe(int(op.Addr), buf); d != nil {
+					return fail(i, "", "golden run diverged from the oracle: %v", d)
+				}
 			}
 		case OpWrite, OpWriteThrough:
 			data := FillData(op.Tag, op.Len)
-			if op.Kind == OpWriteThrough && throughOK(op.Addr, op.Len) {
-				err = sys.WriteThrough(securemem.HomeAddr(op.Addr), data)
-			} else {
-				err = sys.Write(securemem.HomeAddr(op.Addr), data)
-			}
-			if err == nil {
-				copy(oracle[op.Addr:], data)
+			if err = access(t, op, data); err == nil {
+				want.Write(int(op.Addr), data)
 			}
 		case OpCheckpoint:
 			err = sys.CheckpointChunk(securemem.HomeAddr(op.Addr))
@@ -386,18 +292,14 @@ func crashReplay(plan CrashPlan, seq Sequence, res *CrashResult) *Failure {
 	if err != nil {
 		return fail(len(seq.Ops), "final sweep", "undamaged journal failed to recover: %v", err)
 	}
-	stride := uint64(plan.Geometry.ChunkSize)
+	stride := uint64(p.Geometry.ChunkSize)
 	buf := make([]byte, stride)
 	for addr := uint64(0); addr < size; addr += stride {
 		if err := recSys.Read(securemem.HomeAddr(addr), buf); err != nil {
 			return fail(len(seq.Ops), "final sweep", "read at %#x after recovery: %v", addr, err)
 		}
-		if want := last.oracle[addr : addr+stride]; !bytes.Equal(buf, want) {
-			i := 0
-			for buf[i] == want[i] {
-				i++
-			}
-			return fail(len(seq.Ops), "final sweep", "%s", diffReason("recovered read", addr, i, buf, want))
+		if d := last.want.Observe(int(addr), buf); d != nil {
+			return fail(len(seq.Ops), "final sweep", "recovered read at %#x diverged from oracle: %v", addr, d)
 		}
 	}
 	return nil

@@ -19,7 +19,7 @@ func tinyCrashPlan() CrashPlan {
 }
 
 func TestCrashCampaignSmoke(t *testing.T) {
-	res := RunCrash(tinyCrashPlan())
+	res := Run(tinyCrashPlan())
 	if res.Failure != nil {
 		t.Fatalf("crash campaign failed: %v", res.Failure)
 	}
@@ -84,7 +84,7 @@ func TestReplayCrashSequenceRejectsOutOfRange(t *testing.T) {
 		{Kind: OpWrite, Addr: plan.size(), Len: 8, Tag: 1},
 		{Kind: OpEpochCheckpoint},
 	}}
-	f := ReplayCrashSequence(plan, seq)
+	f := plan.Replay(seq)
 	if f == nil {
 		t.Fatal("out-of-range op accepted by crash replay")
 	}
@@ -103,7 +103,7 @@ func TestReplayCrashSequenceMinimal(t *testing.T) {
 		{Kind: OpWriteThrough, Addr: 2 * 4096, Len: 32, Tag: 6},
 		{Kind: OpEpochCheckpoint},
 	}}
-	if f := ReplayCrashSequence(plan, seq); f != nil {
+	if f := plan.Replay(seq); f != nil {
 		t.Fatalf("minimal crash sequence failed: %v", f)
 	}
 }
@@ -120,17 +120,19 @@ func TestCrashGoTest(t *testing.T) {
 		Target: crashTarget,
 		Reason: "example",
 	}
-	src := f.GoTest(DefaultConfig(), "x")
-	if !strings.Contains(src, "check.ReplaySequence") {
+	f.Replayer = DefaultConfig()
+	src := f.GoTest("x")
+	if !strings.Contains(src, "cfg.Replay(seq)") {
 		t.Errorf("plain reproducer malformed:\n%s", src)
 	}
-	csrc := f.CrashGoTest(plan, "seed9")
+	f.Replayer = plan
+	csrc := f.GoTest("seed9")
 	for _, want := range []string{
 		"TestCrashRegression_seed9",
 		"check.DefaultCrashPlan()",
 		"plan.TotalPages = 4",
 		"check.OpEpochCheckpoint",
-		"check.ReplayCrashSequence",
+		"plan.Replay(seq)",
 		"cut 4/9 (torn)",
 	} {
 		if !strings.Contains(csrc, want) {

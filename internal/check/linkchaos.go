@@ -8,6 +8,7 @@ import (
 
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/link"
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 )
 
@@ -20,9 +21,9 @@ import (
 //     error (ErrLinkDown, ErrDegraded, ErrQueueFull) — never an untyped
 //     error, never a retry/backoff spin charged to the transient fault
 //     budget, never a panic;
-//   - every successful read returns the oracle's bytes (modulo ranges a
-//     link-failed write may have half-applied, tainted until a later
-//     write lands);
+//   - every successful read returns the oracle's bytes, where a byte a
+//     link-failed write may have half-applied must read back as its old
+//     or its new value;
 //   - after the final recovery — link forced up, writeback queue drained,
 //     everything flushed — the home tier is byte-identical to a no-outage
 //     golden run of the same successful writes, and the queue accounting
@@ -31,8 +32,9 @@ import (
 //     is detected as ErrFreshness when the queue drains — the outage is
 //     never an integrity holiday.
 //
-// A violation shrinks (ShrinkLink) to a minimal sequence and renders as a
-// regression test (LinkGoTest), like any other checker failure.
+// A violation shrinks to a minimal sequence under the link plan that
+// exposed it and renders as a regression test, like any other checker
+// failure.
 
 // NamedLinkPlan pairs a link.ParsePlan spec with a campaign-stable name
 // used in failure reports and reproducers.
@@ -45,13 +47,9 @@ type NamedLinkPlan struct {
 // in Plans; rate plans are reseeded per sequence so shrunk reproducers
 // replay the same flap schedule.
 type LinkPlan struct {
-	Seeds     int   // seeds run by RunLink
-	Ops       int   // operations per generated sequence
-	FirstSeed int64 // RunLink covers [FirstSeed, FirstSeed+Seeds)
-
-	TotalPages  int // home (CXL) pages
-	DevicePages int // device frames; << TotalPages keeps eviction pressure up
-	Geometry    config.Geometry
+	SeedRange
+	Ops int // operations per generated sequence
+	Space
 
 	// QueueCap bounds the dirty-writeback queue; <= 0 selects
 	// securemem.DefaultWritebackQueueCap. The default campaign keeps it
@@ -60,9 +58,6 @@ type LinkPlan struct {
 
 	// Plans are the link schedules each seed replays under.
 	Plans []NamedLinkPlan
-
-	// Verbose, when non-nil, receives per-seed progress lines.
-	Verbose func(string)
 }
 
 // DefaultLinkPlan returns the smoke-budget link campaign used by
@@ -74,14 +69,13 @@ type LinkPlan struct {
 // the first few dozen operations of every sequence.
 func DefaultLinkPlan() LinkPlan {
 	return LinkPlan{
-		Seeds:     12,
+		SeedRange: SeedRange{Seeds: 12, FirstSeed: 1},
 		Ops:       120,
-		FirstSeed: 1,
-
-		TotalPages:  8,
-		DevicePages: 2,
-		Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
-
+		Space: Space{
+			TotalPages:  8,
+			DevicePages: 2,
+			Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
+		},
 		QueueCap: 2,
 		Plans: []NamedLinkPlan{
 			{Name: "flap-short", Spec: "down@40..70,down@300..340,down@800..860"},
@@ -92,22 +86,9 @@ func DefaultLinkPlan() LinkPlan {
 	}
 }
 
-// size returns the home address-space size in bytes.
-func (p LinkPlan) size() uint64 { return uint64(p.TotalPages) * uint64(p.Geometry.PageSize) }
-
-// memConfig returns the securemem configuration of the checked system.
-func (p LinkPlan) memConfig() securemem.Config {
-	return securemem.Config{
-		Geometry:    p.Geometry,
-		Model:       securemem.ModelSalus,
-		TotalPages:  p.TotalPages,
-		DevicePages: p.DevicePages,
-	}
-}
-
-// LinkResult summarises a RunLink campaign.
+// LinkResult summarises a link-chaos campaign, or one seed of it.
 type LinkResult struct {
-	SeedsRun int
+	Verdict
 	PlansRun int // seed × plan replays completed
 	OpsRun   int
 
@@ -120,7 +101,7 @@ type LinkResult struct {
 	Queued    uint64 // writebacks parked on the queue
 	Drained   uint64 // writebacks drained back to the home tier
 	Dropped   uint64 // evictions refused by a full queue
-	QueuePeak uint64 // campaign-wide queue high-water mark
+	QueuePeak uint64 `fold:"max"` // campaign-wide queue high-water mark
 
 	DepthSum     uint64 // queue depth summed over post-op samples
 	DepthSamples uint64
@@ -128,64 +109,55 @@ type LinkResult struct {
 	AgeCount     uint64
 
 	RollbackProbes int // per-seed outage-rollback probes that detected
-
-	Failure *Failure
 }
 
-// RunLink generates plan.Seeds sequences and replays each under every
-// named link plan, then runs the per-seed outage-rollback probe. On the
-// first violation it shrinks the sequence to a minimal reproducer under
-// the same link plan and stops.
-func RunLink(plan LinkPlan) LinkResult {
-	var res LinkResult
-	for i := 0; i < plan.Seeds; i++ {
-		seed := plan.FirstSeed + int64(i)
-		seq := GenerateLinkSequence(plan, seed)
-		res.SeedsRun++
-		for _, np := range plan.Plans {
-			res.OpsRun += len(seq.Ops)
-			before := res
-			f := linkReplay(plan, np, seq, &res)
-			if f == nil {
-				res.PlansRun++
-				if plan.Verbose != nil {
-					plan.Verbose(fmt.Sprintf("seed %d, plan %s: %d ops clean (%d refused typed, %d queued, %d drained)",
-						seed, np.Name, len(seq.Ops),
-						res.OpsRefused-before.OpsRefused, res.Queued-before.Queued, res.Drained-before.Drained))
-				}
-				continue
-			}
-			min := ShrinkLink(plan, np, f.Seq)
-			// Re-replay the minimal sequence so the failure describes it.
-			if mf := ReplayLinkSequence(plan, np, min); mf != nil {
-				f = mf
-			}
-			res.Failure = f
-			return res
+func (r *LinkResult) progress() string {
+	return fmt.Sprintf("%d plans, %d ops (%d refused typed, %d queued, %d drained)",
+		r.PlansRun, r.OpsRun, r.OpsRefused, r.Queued, r.Drained)
+}
+
+func (p LinkPlan) seedRange() SeedRange { return p.SeedRange }
+
+// runSeed replays the seed's sequence under every named link plan, then
+// runs the outage-rollback probe.
+func (p LinkPlan) runSeed(seed int64) LinkResult {
+	var r LinkResult
+	seq := GenerateLinkSequence(p, seed)
+	for _, np := range p.Plans {
+		r.OpsRun += len(seq.Ops)
+		if r.Failure = p.replay(np, seq, &r); r.Failure != nil {
+			return r
 		}
-		if f := linkRollbackProbe(plan, seed); f != nil {
-			res.Failure = f
-			return res
-		}
-		res.RollbackProbes++
+		r.PlansRun++
 	}
-	return res
+	if r.Failure = linkRollbackProbe(p, seed); r.Failure == nil {
+		r.RollbackProbes++
+	}
+	return r
 }
 
-// ReplayLinkSequence replays one sequence under one named link plan,
+// Replay replays one sequence under every named link plan in turn,
 // returning the first contract violation or nil.
-func ReplayLinkSequence(plan LinkPlan, np NamedLinkPlan, seq Sequence) *Failure {
+func (p LinkPlan) Replay(seq Sequence) *Failure {
 	var scratch LinkResult
-	return linkReplay(plan, np, seq, &scratch)
+	for _, np := range p.Plans {
+		if f := p.replay(np, seq, &scratch); f != nil {
+			return f
+		}
+	}
+	return nil
 }
 
-// ShrinkLink is Shrink for link-mode sequences: the reduction predicate is
-// the full link replay under the same named plan, so the minimal sequence
-// still reaches the failing outage window.
-func ShrinkLink(plan LinkPlan, np NamedLinkPlan, seq Sequence) Sequence {
-	return shrinkOps(seq, func(ops []Op) *Failure {
-		return ReplayLinkSequence(plan, np, Sequence{Seed: seq.Seed, Ops: ops})
-	})
+func (p LinkPlan) goSetup(b *strings.Builder) (string, string) {
+	b.WriteString("\tplan := check.DefaultLinkPlan()\n")
+	fmt.Fprintf(b, "\tplan.TotalPages = %d\n\tplan.DevicePages = %d\n\tplan.QueueCap = %d\n",
+		p.TotalPages, p.DevicePages, p.QueueCap)
+	b.WriteString("\tplan.Plans = []check.NamedLinkPlan{\n")
+	for _, np := range p.Plans {
+		fmt.Fprintf(b, "\t\t{Name: %q, Spec: %q},\n", np.Name, np.Spec)
+	}
+	b.WriteString("\t}\n")
+	return "Link", "plan"
 }
 
 // GenerateLinkSequence produces the deterministic link-mode workload for
@@ -195,71 +167,20 @@ func ShrinkLink(plan LinkPlan, np NamedLinkPlan, seq Sequence) Sequence {
 // Hostile probes are omitted — bounds behaviour is the plain checker's
 // job; link mode wants maximal home-tier traffic.
 func GenerateLinkSequence(plan LinkPlan, seed int64) Sequence {
-	rng := rand.New(rand.NewSource(seed))
-	g := plan.Geometry
-
-	genAddr := func() uint64 {
-		page := rng.Intn(plan.TotalPages)
-		var off int
-		switch rng.Intn(4) {
-		case 0: // a few bytes before a chunk boundary: forces a straddle
-			c := 1 + rng.Intn(g.ChunksPerPage()-1)
-			off = c*g.ChunkSize - (1 + rng.Intn(4))
-		case 1: // sector-aligned
-			off = rng.Intn(g.SectorsPerPage()) * g.SectorSize
-		case 2: // chunk-aligned
-			off = rng.Intn(g.ChunksPerPage()) * g.ChunkSize
-		default:
-			off = rng.Intn(g.PageSize)
-		}
-		return uint64(page*g.PageSize + off)
+	g := gen{rng: rand.New(rand.NewSource(seed)), s: plan.Space}
+	mix := opMix{
+		{30, OpWrite},            // cached write: dirties device chunks, arms parking
+		{52, OpRead},             // cached read: migration churn across the link
+		{66, OpWriteThrough},     // direct CXL write
+		{76, OpReadThrough},      // direct CXL read
+		{84, OpCheckpoint},       // chunk checkpoint: collapse traffic over the link
+		{94, OpFlush},            // flush: mass eviction, the main parking source
+		{100, OpDrainWritebacks}, // reconciler drain, possibly mid-outage
 	}
-	genLen := func() int {
-		switch rng.Intn(6) {
-		case 0:
-			return 1 + rng.Intn(4)
-		case 1:
-			return g.SectorSize
-		case 2:
-			return g.SectorSize + 1
-		case 3:
-			return g.ChunkSize/2 + rng.Intn(g.ChunkSize)
-		default:
-			return 1 + rng.Intn(2*g.SectorSize)
-		}
-	}
-	clampLen := func(addr uint64, n int) int {
-		if max := plan.size() - addr; uint64(n) > max {
-			return int(max)
-		}
-		return n
-	}
-
 	ops := make([]Op, 0, plan.Ops)
 	var tag byte
 	for i := 0; i < plan.Ops; i++ {
-		switch r := rng.Intn(100); {
-		case r < 30: // cached write: dirties device chunks, arms parking
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWrite, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 52: // cached read: migration churn across the link
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpRead, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 66: // direct CXL write
-			tag++
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpWriteThrough, Addr: addr, Len: clampLen(addr, genLen()), Tag: tag})
-		case r < 76: // direct CXL read
-			addr := genAddr()
-			ops = append(ops, Op{Kind: OpReadThrough, Addr: addr, Len: clampLen(addr, genLen())})
-		case r < 84: // chunk checkpoint: collapse traffic over the link
-			ops = append(ops, Op{Kind: OpCheckpoint, Addr: genAddr()})
-		case r < 94: // flush: mass eviction, the main parking source
-			ops = append(ops, Op{Kind: OpFlush})
-		default: // reconciler drain, possibly mid-outage
-			ops = append(ops, Op{Kind: OpDrainWritebacks})
-		}
+		ops = append(ops, g.op(mix, &tag))
 	}
 	return Sequence{Seed: seed, Ops: ops}
 }
@@ -287,14 +208,18 @@ func newSeqLink(np NamedLinkPlan, seed int64) (*link.Link, error) {
 	return link.New(p, link.DefaultConfig()), nil
 }
 
-// linkReplay replays one sequence under one link plan, accumulating
+// replay replays one sequence under one named link plan, accumulating
 // campaign counters into res. The oracle tracks the plaintext a no-outage
-// system would hold after the same successful writes; ranges a link-failed
-// write may have half-applied are tainted until a later write lands.
-func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) *Failure {
+// system would hold after the same successful writes; bytes a link-failed
+// write may have half-applied are ambiguous between their old and new
+// values until observed or overwritten. A failure replays under p
+// narrowed to np.
+func (p LinkPlan) replay(np NamedLinkPlan, seq Sequence, res *LinkResult) *Failure {
+	plan := p
+	plan.Plans = []NamedLinkPlan{np}
 	target := "salus-link/" + np.Name
 	fail := func(idx int, format string, a ...any) *Failure {
-		return &Failure{Seq: seq, OpIdx: idx, Target: target, Reason: fmt.Sprintf(format, a...)}
+		return &Failure{Seq: seq, OpIdx: idx, Target: target, Reason: fmt.Sprintf(format, a...), Replayer: plan}
 	}
 
 	sys, err := securemem.New(plan.memConfig())
@@ -308,27 +233,8 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 	sys.AttachLink(lnk, nil, plan.QueueCap)
 
 	size := plan.size()
-	oracle := make([]byte, size)
-	taint := make([]bool, size)
-	setTaint := func(addr uint64, n int, v bool) {
-		for i := uint64(0); i < uint64(n); i++ {
-			taint[addr+i] = v
-		}
-	}
-	mismatch := func(addr uint64, got, want []byte) int {
-		for i := range got {
-			if got[i] != want[i] && !taint[addr+uint64(i)] {
-				return i
-			}
-		}
-		return -1
-	}
-	throughOK := func(addr uint64, n int) bool {
-		if sys.IsResident(securemem.HomeAddr(addr)) {
-			return false
-		}
-		return n == 0 || !sys.IsResident(securemem.HomeAddr(addr+uint64(n)-1))
-	}
+	want := oracle.New(int(size))
+	t := &systemTarget{model: securemem.ModelSalus, sys: sys}
 
 	// enqueueIdx records, FIFO, the op index at which each parked
 	// writeback was queued; drains pop it to measure queue age in ops.
@@ -361,28 +267,16 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 		switch op.Kind {
 		case OpRead, OpReadThrough:
 			buf = make([]byte, op.Len)
-			err = safely(func() error {
-				if op.Kind == OpReadThrough && throughOK(op.Addr, op.Len) {
-					return sys.ReadThrough(securemem.HomeAddr(op.Addr), buf)
-				}
-				return sys.Read(securemem.HomeAddr(op.Addr), buf)
-			})
+			err = safely(func() error { return access(t, op, buf) })
 		case OpWrite, OpWriteThrough:
 			data := FillData(op.Tag, op.Len)
-			err = safely(func() error {
-				if op.Kind == OpWriteThrough && throughOK(op.Addr, op.Len) {
-					return sys.WriteThrough(securemem.HomeAddr(op.Addr), data)
-				}
-				return sys.Write(securemem.HomeAddr(op.Addr), data)
-			})
+			err = safely(func() error { return access(t, op, data) })
 			if err == nil {
-				copy(oracle[op.Addr:], data)
-				setTaint(op.Addr, op.Len, false)
+				want.Write(int(op.Addr), data)
 			} else {
 				// The write may have landed partially before the link
-				// refused; exclude its range from comparison until a later
-				// write covers it.
-				setTaint(op.Addr, op.Len, true)
+				// refused.
+				want.Ambiguous(int(op.Addr), data)
 			}
 		case OpCheckpoint:
 			err = safely(func() error { return sys.CheckpointChunk(securemem.HomeAddr(op.Addr)) })
@@ -405,9 +299,8 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 		} else {
 			res.OpsOK++
 			if op.Kind == OpRead || op.Kind == OpReadThrough {
-				want := oracle[op.Addr : op.Addr+uint64(op.Len)]
-				if d := mismatch(op.Addr, buf, want); d >= 0 {
-					return fail(i, "%s", diffReason("read", op.Addr, d, buf, want))
+				if d := want.Observe(int(op.Addr), buf); d != nil {
+					return fail(i, "read at %#x diverged from oracle: %v", op.Addr, d)
 				}
 			}
 		}
@@ -441,15 +334,15 @@ func linkReplay(plan LinkPlan, np NamedLinkPlan, seq Sequence, res *LinkResult) 
 	}
 
 	// --- Final sweep: byte-identical to the no-outage golden run, modulo
-	// ranges tainted by link-failed writes. ---
+	// the ambiguity link-failed writes left. ---
 	stride := uint64(plan.Geometry.ChunkSize)
 	buf := make([]byte, stride)
 	for addr := uint64(0); addr < size; addr += stride {
 		if err := sys.Read(securemem.HomeAddr(addr), buf); err != nil {
 			return fail(len(seq.Ops), "final sweep read at %#x: %v", addr, err)
 		}
-		if d := mismatch(addr, buf, oracle[addr:addr+stride]); d >= 0 {
-			return fail(len(seq.Ops), "%s", diffReason("post-drain read", addr, d, buf, oracle[addr:addr+stride]))
+		if d := want.Observe(int(addr), buf); d != nil {
+			return fail(len(seq.Ops), "post-drain read at %#x diverged from oracle: %v", addr, d)
 		}
 	}
 
@@ -529,27 +422,4 @@ func linkRollbackProbe(plan LinkPlan, seed int64) *Failure {
 		return fail("rollback drain freed the parked writeback anyway")
 	}
 	return nil
-}
-
-// LinkGoTest renders the failure's (shrunk) link-mode sequence as a
-// runnable Go regression test replaying it under plan's sizing and the
-// named link plan that exposed it.
-func (f *Failure) LinkGoTest(plan LinkPlan, np NamedLinkPlan, name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// Regression test emitted by the salus-check link shrinker.\n")
-	fmt.Fprintf(&b, "// Original failure: %s\n", f)
-	fmt.Fprintf(&b, "func TestLinkRegression_%s(t *testing.T) {\n", name)
-	b.WriteString("\tplan := check.DefaultLinkPlan()\n")
-	fmt.Fprintf(&b, "\tplan.TotalPages = %d\n", plan.TotalPages)
-	fmt.Fprintf(&b, "\tplan.DevicePages = %d\n", plan.DevicePages)
-	fmt.Fprintf(&b, "\tplan.QueueCap = %d\n", plan.QueueCap)
-	fmt.Fprintf(&b, "\tnp := check.NamedLinkPlan{Name: %q, Spec: %q}\n", np.Name, np.Spec)
-	fmt.Fprintf(&b, "\tseq := check.Sequence{Seed: %d, Ops: []check.Op{\n", f.Seq.Seed)
-	writeOps(&b, f.Seq.Ops)
-	b.WriteString("\t}}\n")
-	b.WriteString("\tif f := check.ReplayLinkSequence(plan, np, seq); f != nil {\n")
-	b.WriteString("\t\tt.Fatalf(\"regression reproduced: %v\", f)\n")
-	b.WriteString("\t}\n")
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -14,7 +14,7 @@ func TestRunLinkSmoke(t *testing.T) {
 	plan := DefaultLinkPlan()
 	plan.Seeds = 4
 	plan.Ops = 80
-	res := RunLink(plan)
+	res := Run(plan)
 	if res.Failure != nil {
 		t.Fatalf("link campaign failed: %v", res.Failure)
 	}
@@ -53,10 +53,10 @@ func TestLinkReplayDeterministic(t *testing.T) {
 	}
 	seq := GenerateLinkSequence(plan, 7)
 	var a, b LinkResult
-	if f := linkReplay(plan, np, seq, &a); f != nil {
+	if f := plan.replay(np, seq, &a); f != nil {
 		t.Fatalf("first replay: %v", f)
 	}
-	if f := linkReplay(plan, np, seq, &b); f != nil {
+	if f := plan.replay(np, seq, &b); f != nil {
 		t.Fatalf("second replay: %v", f)
 	}
 	if !reflect.DeepEqual(a, b) {
@@ -112,24 +112,27 @@ func TestLinkRollbackProbeDetects(t *testing.T) {
 func TestLinkGoTestRendering(t *testing.T) {
 	plan := DefaultLinkPlan()
 	np := plan.Plans[0]
+	plan.Plans = plan.Plans[:1]
 	f := &Failure{
 		Seq: Sequence{Seed: 9, Ops: []Op{
 			{Kind: OpWrite, Addr: 0x40, Len: 8, Tag: 3},
 			{Kind: OpFlush},
 			{Kind: OpDrainWritebacks},
 		}},
-		OpIdx:  2,
-		Target: "salus-link/" + np.Name,
-		Reason: "synthetic",
+		OpIdx:    2,
+		Target:   "salus-link/" + np.Name,
+		Reason:   "synthetic",
+		Replayer: plan,
 	}
-	src := f.LinkGoTest(plan, np, "seed9")
+	src := f.GoTest("seed9")
 	for _, want := range []string{
 		"func TestLinkRegression_seed9(t *testing.T)",
 		"check.DefaultLinkPlan()",
-		`check.NamedLinkPlan{Name: "flap-short"`,
+		"plan.Plans = []check.NamedLinkPlan{",
+		`{Name: "flap-short"`,
 		np.Spec,
 		"check.OpDrainWritebacks",
-		"check.ReplayLinkSequence(plan, np, seq)",
+		"plan.Replay(seq)",
 	} {
 		if !strings.Contains(src, want) {
 			t.Fatalf("emitted test missing %q:\n%s", want, src)

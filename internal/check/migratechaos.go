@@ -12,6 +12,7 @@ import (
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/link"
 	"github.com/salus-sim/salus/internal/migrate"
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/serve"
 	"github.com/salus-sim/salus/internal/stats"
@@ -32,8 +33,7 @@ const roleMigrant = "migrant"
 // the migrated-away source identity — with bystander tenants on every
 // pool asserted zero-blast-radius throughout.
 type MigratePlan struct {
-	Seeds     int
-	FirstSeed int64
+	SeedRange
 
 	// PagesPerTenant / FramesPerTenant / Shards size each tenant slice;
 	// frames below pages forces device-tier churn into the stream.
@@ -57,16 +57,12 @@ type MigratePlan struct {
 	// client stop (the client keeps serving while the migration runs,
 	// so the realised count is usually higher).
 	ServeSpan int
-
-	// Verbose, when set, receives one line per seed.
-	Verbose func(string)
 }
 
 // DefaultMigratePlan is the CI smoke budget.
 func DefaultMigratePlan() MigratePlan {
 	return MigratePlan{
-		Seeds:     8,
-		FirstSeed: 1,
+		SeedRange: SeedRange{Seeds: 8, FirstSeed: 1},
 
 		PagesPerTenant:  8,
 		FramesPerTenant: 4,
@@ -81,9 +77,9 @@ func DefaultMigratePlan() MigratePlan {
 	}
 }
 
-// MigrateResult summarises a RunMigrate campaign.
+// MigrateResult summarises a live-migration campaign, or one seed of it.
 type MigrateResult struct {
-	SeedsRun      int
+	Verdict
 	Migrations    int // honest migrations completed (oracle-verified)
 	ServeRequests int // requests served through the fronting server across cutovers
 
@@ -94,16 +90,10 @@ type MigrateResult struct {
 	Retries         int // link refusals absorbed by capped backoff
 	Destroyed       int // migrated-away source identities retired
 
-	// Aggregate sums the per-seed migration counters (honest sessions
-	// plus the typed rejections the attacked receivers recorded).
+	// Aggregate holds one row: the migration counters of the honest
+	// sessions plus the typed rejections the attacked receivers recorded.
 	Aggregate []stats.MigrateOps
-
-	// Violations holds every contract breach. Empty means PASS.
-	Violations []string
 }
-
-// Failed reports whether the campaign found any contract violation.
-func (r *MigrateResult) Failed() bool { return len(r.Violations) > 0 }
 
 // Table renders the aggregate migration counters.
 func (r *MigrateResult) Table() string {
@@ -111,72 +101,12 @@ func (r *MigrateResult) Table() string {
 	return o.MigrateTable().String()
 }
 
-// RunMigrate runs plan.Seeds migration sessions. Like the other
-// campaign runners it stops after the first seed that records
-// violations, so the failing seed is the first line of the report.
-func RunMigrate(plan MigratePlan) MigrateResult {
-	var res MigrateResult
-	agg := stats.MigrateOps{Tenant: roleMigrant}
-
-	for i := 0; i < plan.Seeds; i++ {
-		seed := plan.FirstSeed + int64(i)
-		s := runMigrateSeed(plan, seed)
-
-		res.SeedsRun++
-		res.Migrations += s.migrations
-		res.ServeRequests += s.serveReqs
-		res.Attacks += s.attacks
-		res.TypedRejections += s.rejections
-		res.CrashCuts += s.crashCuts
-		res.Resumes += s.resumes
-		res.Retries += s.retries
-		res.Destroyed += s.destroyed
-		mergeMigrateOps(&agg, &s.ops)
-
-		if plan.Verbose != nil {
-			plan.Verbose(fmt.Sprintf(
-				"seed %d: %d migrations, %d serve reqs, %d/%d attacks refused typed, %d crash cuts, %d resumes (%d retries), %d retired",
-				seed, s.migrations, s.serveReqs, s.rejections, s.attacks,
-				s.crashCuts, s.resumes, s.retries, s.destroyed))
-		}
-		if len(s.violations) > 0 {
-			for _, v := range s.violations {
-				res.Violations = append(res.Violations, fmt.Sprintf("seed %d: %s", seed, v))
-			}
-			break
-		}
-	}
-	res.Aggregate = append(res.Aggregate, agg)
-	return res
+func (r *MigrateResult) progress() string {
+	return fmt.Sprintf("%d migrations, %d serve reqs, %d/%d attacks refused typed, %d crash cuts, %d resumes (%d retries), %d retired",
+		r.Migrations, r.ServeRequests, r.TypedRejections, r.Attacks, r.CrashCuts, r.Resumes, r.Retries, r.Destroyed)
 }
 
-// mergeMigrateOps sums src into dst (tenant name handled by caller).
-func mergeMigrateOps(dst, src *stats.MigrateOps) {
-	dst.Rounds += src.Rounds
-	dst.ChunksSent += src.ChunksSent
-	dst.ChunksSkipped += src.ChunksSkipped
-	dst.BytesStreamed += src.BytesStreamed
-	dst.Retries += src.Retries
-	dst.Resumes += src.Resumes
-	dst.Torn += src.Torn
-	dst.Replay += src.Replay
-	dst.Attest += src.Attest
-	dst.Fresh += src.Fresh
-}
-
-// migrateSeedResult is one seed's outcome.
-type migrateSeedResult struct {
-	migrations int
-	serveReqs  int
-	attacks    int
-	rejections int
-	crashCuts  int
-	resumes    int
-	retries    int
-	destroyed  int
-	ops        stats.MigrateOps
-	violations []string
-}
+func (p MigratePlan) seedRange() SeedRange { return p.SeedRange }
 
 // migrateTyped reports whether err is one of the four typed stream
 // refusals — the only acceptable way for an attacked migration to fail.
@@ -221,9 +151,9 @@ func migratePool(plan MigratePlan, mac []byte, withBystander bool) (*tenant.Pool
 // identically, mirroring them into the plaintext oracle. Writing the
 // same bytes to a control tenant on an unrelated pool is what makes the
 // post-migration comparison a true differential oracle.
-func migrateBurst(rng *rand.Rand, tens []*tenant.Tenant, oracle []byte, n int) error {
+func migrateBurst(rng *rand.Rand, tens []*tenant.Tenant, want *oracle.Bytes, n int) error {
 	for i := 0; i < n; i++ {
-		off := rng.Intn(len(oracle) - 128)
+		off := rng.Intn(want.Len() - 128)
 		data := make([]byte, 16+rng.Intn(96))
 		rng.Read(data)
 		for _, t := range tens {
@@ -231,21 +161,21 @@ func migrateBurst(rng *rand.Rand, tens []*tenant.Tenant, oracle []byte, n int) e
 				return fmt.Errorf("write @%d on %s: %w", off, t.ID(), err)
 			}
 		}
-		copy(oracle[off:], data)
+		want.Write(off, data)
 	}
 	return nil
 }
 
-// migrateVerify compares a tenant's whole slice against the oracle,
-// page by page.
-func migrateVerify(t *tenant.Tenant, oracle []byte, ps int) error {
+// migrateVerify checks a tenant's whole slice against the oracle, page
+// by page.
+func migrateVerify(t *tenant.Tenant, want *oracle.Bytes, ps int) error {
 	buf := make([]byte, ps)
-	for off := 0; off < len(oracle); off += ps {
+	for off := 0; off < want.Len(); off += ps {
 		if err := t.Read(t.Base()+securemem.HomeAddr(off), buf); err != nil {
 			return fmt.Errorf("read page @%d: %w", off, err)
 		}
-		if !bytes.Equal(buf, oracle[off:off+ps]) {
-			return fmt.Errorf("plaintext diverged from oracle in page @%d", off)
+		if err := want.Observe(off, buf); err != nil {
+			return fmt.Errorf("plaintext diverged from oracle in page @%d: %v", off, err)
 		}
 	}
 	return nil
@@ -261,11 +191,12 @@ func migrateBystander(t *tenant.Tenant, seed int64) ([32]byte, error) {
 	return t.StateDigest(), nil
 }
 
-// runMigrateSeed runs one seed's full phase sequence.
-func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
-	res := migrateSeedResult{ops: stats.MigrateOps{Tenant: roleMigrant}}
+// runSeed runs one seed's full phase sequence.
+func (plan MigratePlan) runSeed(seed int64) MigrateResult {
+	res := MigrateResult{Aggregate: []stats.MigrateOps{{Tenant: roleMigrant}}}
+	ops := &res.Aggregate[0]
 	fail := func(format string, a ...any) {
-		res.violations = append(res.violations, fmt.Sprintf(format, a...))
+		res.Violations = append(res.Violations, fmt.Sprintf(format, a...))
 	}
 	ps := plan.Geometry.PageSize
 	size := plan.PagesPerTenant * ps
@@ -320,14 +251,14 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	// control tenant on an uninvolved pool must read back byte-identical
 	// from the migrated destination. ---
 	hostA, hostB, control := mkPool(true), mkPool(true), mkPool(true)
-	if len(res.violations) > 0 {
+	if len(res.Violations) > 0 {
 		return res
 	}
 	watchBystander("hostA", hostA)
 	watchBystander("hostB", hostB)
 	srcT, ctlT := mig(hostA), mig(control)
-	oracle := make([]byte, size)
-	if err := migrateBurst(rng, []*tenant.Tenant{srcT, ctlT}, oracle, plan.WriteBursts); err != nil {
+	want := oracle.New(size)
+	if err := migrateBurst(rng, []*tenant.Tenant{srcT, ctlT}, want, plan.WriteBursts); err != nil {
 		fail("phase A traffic: %v", err)
 		return res
 	}
@@ -336,22 +267,22 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 		ChunkSize: plan.ChunkSize, MaxRounds: plan.MaxRounds,
 		Nonce: migrateNonce(seed, 'a'),
 	})
-	mergeMigrateOps(&res.ops, &opsA)
+	add(ops, &opsA)
 	if err != nil {
 		fail("phase A migration failed: %v", err)
 		return res
 	}
 	dstT := mig(hostB)
-	if err := migrateVerify(dstT, oracle, ps); err != nil {
+	if err := migrateVerify(dstT, want, ps); err != nil {
 		fail("phase A destination vs oracle: %v", err)
 	}
-	if err := migrateVerify(ctlT, oracle, ps); err != nil {
+	if err := migrateVerify(ctlT, want, ps); err != nil {
 		fail("phase A control vs oracle: %v", err)
 	}
 	if sd, dd := srcT.StateDigest(), dstT.StateDigest(); sd != dd {
 		fail("phase A source/destination digests diverge after cutover")
 	}
-	res.migrations++
+	res.Migrations++
 
 	// --- Phase F (early, on purpose): the migrated-away source
 	// identity is retired. Keys zeroized, frames reclaimed, every
@@ -366,10 +297,10 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	if got := hostA.ReclaimedFrames(); got != plan.FramesPerTenant {
 		fail("destroy reclaimed %d frames, want %d", got, plan.FramesPerTenant)
 	}
-	if err := migrateVerify(dstT, oracle, ps); err != nil {
+	if err := migrateVerify(dstT, want, ps); err != nil {
 		fail("destination after source retirement: %v", err)
 	}
-	res.destroyed++
+	res.Destroyed++
 
 	// --- Phase B: cutover under live service traffic. A serve.Server
 	// fronts the hostB migrant engine while a client stream keeps
@@ -379,7 +310,7 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	// hostC. The client's oracle is updated only in OnDone (under the
 	// engine lock), which is exactly the consistency the swap promises. ---
 	hostC := mkPool(true)
-	if len(res.violations) > 0 {
+	if len(res.Violations) > 0 {
 		return res
 	}
 	watchBystander("hostC", hostC)
@@ -388,7 +319,7 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 		fail("phase B server: %v", err)
 		return res
 	}
-	serveOracle := append([]byte(nil), oracle...)
+	serveOracle := want.Snapshot()
 	var (
 		clientViolations []string
 		clientReqs       int
@@ -419,9 +350,12 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 					Buf: buf, Tenant: roleMigrant, Deadline: 1 << 40,
 				}
 				req.OnDone = func(e error) {
-					if e == nil && !bytes.Equal(buf, serveOracle[off:off+64]) {
+					if e != nil {
+						return
+					}
+					if err := serveOracle.Observe(off, buf); err != nil {
 						clientViolations = append(clientViolations,
-							fmt.Sprintf("served read @%d diverged from client oracle", off))
+							fmt.Sprintf("served read @%d diverged from client oracle: %v", off, err))
 					}
 				}
 				if err := srv.Do(req); err != nil {
@@ -437,7 +371,7 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 				}
 				req.OnDone = func(e error) {
 					if e == nil {
-						copy(serveOracle[off:], data)
+						serveOracle.Write(off, data)
 					}
 				}
 				if err := srv.Do(req); err != nil {
@@ -454,9 +388,9 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	})
 	close(stop)
 	wg.Wait()
-	mergeMigrateOps(&res.ops, &opsB)
-	res.serveReqs += clientReqs
-	res.violations = append(res.violations, clientViolations...)
+	add(ops, &opsB)
+	res.ServeRequests += clientReqs
+	res.Violations = append(res.Violations, clientViolations...)
 	if errB != nil {
 		fail("phase B migration under load failed: %v", errB)
 		return res
@@ -479,10 +413,10 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 		if err := hostCT.Read(hostCT.Base(), got); err != nil || !bytes.Equal(got, probe) {
 			fail("phase B post-cutover write did not land on the destination host (err %v)", err)
 		}
-		copy(serveOracle, probe)
+		serveOracle.Write(0, probe)
 	}
-	res.migrations++
-	res.serveReqs++
+	res.Migrations++
+	res.ServeRequests++
 
 	// --- Phase C: man-in-the-middle. Record one honest session's
 	// stream tape, then attack every record boundary with every
@@ -491,12 +425,12 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	// and the tape source must keep serving throughout. ---
 	tapeSrc := mkPool(true)
 	tapeDst := mkPool(false)
-	if len(res.violations) > 0 {
+	if len(res.Violations) > 0 {
 		return res
 	}
 	watchBystander("tapeSrc", tapeSrc)
 	tapeT := mig(tapeSrc)
-	tapeOracle := make([]byte, size)
+	tapeOracle := oracle.New(size)
 	if err := migrateBurst(rng, []*tenant.Tenant{tapeT}, tapeOracle, plan.WriteBursts); err != nil {
 		fail("phase C traffic: %v", err)
 		return res
@@ -515,12 +449,12 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 			return nil
 		},
 	})
-	mergeMigrateOps(&res.ops, &opsC)
+	add(ops, &opsC)
 	if err != nil {
 		fail("phase C tape recording failed: %v", err)
 		return res
 	}
-	res.migrations++
+	res.Migrations++
 	if len(tape) < 6 {
 		fail("phase C tape implausibly short: %d records", len(tape))
 		return res
@@ -630,14 +564,14 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 			fail("crash cut %d: receiver done before the cutover record", k)
 		}
 		untouched(p, pristine, fmt.Sprintf("crash at boundary %d", k))
-		res.crashCuts++
+		res.CrashCuts++
 
 		for _, a := range attacks {
 			frames := a.frames(k)
 			if frames == nil {
 				continue
 			}
-			res.attacks++
+			res.Attacks++
 			p, r, pristine := freshDest()
 			if p == nil {
 				return res
@@ -651,9 +585,9 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 				fail("%s at boundary %d refused untyped: %v", a.name, k, err)
 				continue
 			}
-			res.rejections++
+			res.TypedRejections++
 			rops := r.Ops()
-			mergeMigrateOps(&res.ops, &rops)
+			add(ops, &rops)
 			// Fail-stop: the poisoned receiver refuses everything after.
 			if ferr := r.Feed(tape[len(tape)-1]); ferr == nil {
 				fail("%s at boundary %d: receiver served frames after poisoning", a.name, k)
@@ -684,16 +618,16 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	if err := feed(r, tape...); err != nil || !r.Done() {
 		fail("honest tape replay onto fresh destination refused: %v", err)
 	} else {
-		res.attacks++
+		res.Attacks++
 		r2, err := migrate.NewReceiver(p, roleMigrant, tapeNonce)
 		if err != nil {
 			fail("rollback receiver: %v", err)
 		} else if _, err := r2.Accept(offer); !errors.Is(err, migrate.ErrFreshness) {
 			fail("stale-session rollback: got %v, want ErrFreshness", err)
 		} else {
-			res.rejections++
+			res.TypedRejections++
 			rops := r2.Ops()
-			mergeMigrateOps(&res.ops, &rops)
+			add(ops, &rops)
 		}
 	}
 
@@ -704,17 +638,17 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 		fail("alien pool: %v", err)
 		return res
 	}
-	res.attacks++
+	res.Attacks++
 	opsAl, err := migrate.Run(migrate.Config{
 		SourcePool: tapeSrc, Source: tapeT, DestPool: alien,
 		ChunkSize: plan.ChunkSize, MaxRounds: plan.MaxRounds,
 		Nonce: migrateNonce(seed, 'x'),
 	})
-	mergeMigrateOps(&res.ops, &opsAl)
+	add(ops, &opsAl)
 	if !errors.Is(err, migrate.ErrAttestation) {
 		fail("alien-host migration: got %v, want ErrAttestation", err)
 	} else {
-		res.rejections++
+		res.TypedRejections++
 	}
 	if err := migrateVerify(tapeT, tapeOracle, ps); err != nil {
 		fail("phase C source after alien handshake: %v", err)
@@ -726,13 +660,13 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	// the resumed session completes without re-streaming verified
 	// chunks, delivering the writes made during the outage. ---
 	linkSrc, linkDst := mkPool(true), mkPool(true)
-	if len(res.violations) > 0 {
+	if len(res.Violations) > 0 {
 		return res
 	}
 	watchBystander("linkSrc", linkSrc)
 	watchBystander("linkDst", linkDst)
 	linkT := mig(linkSrc)
-	linkOracle := make([]byte, size)
+	linkOracle := oracle.New(size)
 	if err := migrateBurst(rng, []*tenant.Tenant{linkT}, linkOracle, plan.WriteBursts); err != nil {
 		fail("phase D traffic: %v", err)
 		return res
@@ -781,9 +715,9 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 		err = s.Run()
 	}
 	opsD := s.Ops()
-	mergeMigrateOps(&res.ops, &opsD)
-	res.retries += int(opsD.Retries)
-	res.resumes += int(opsD.Resumes)
+	add(ops, &opsD)
+	res.Retries += int(opsD.Retries)
+	res.Resumes += int(opsD.Resumes)
 	if parked == 0 || opsD.Resumes == 0 {
 		fail("phase D outage window never parked the session (%d parks, %d resumes)", parked, opsD.Resumes)
 	}
@@ -793,7 +727,7 @@ func runMigrateSeed(plan MigratePlan, seed int64) migrateSeedResult {
 	if err := migrateVerify(linkDstT, linkOracle, ps); err != nil {
 		fail("phase D migrated state (incl. mid-park writes) vs oracle: %v", err)
 	}
-	res.migrations++
+	res.Migrations++
 
 	// --- Phase G: every bystander on every host, untouched. Their
 	// digests never moved and they absorbed zero denials, faults, or

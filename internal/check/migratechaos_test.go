@@ -15,7 +15,7 @@ func TestMigrateCampaignSmoke(t *testing.T) {
 	plan.Seeds = 2
 	plan.WriteBursts = 12
 	plan.ServeSpan = 24
-	res := RunMigrate(plan)
+	res := Run(plan)
 	for _, v := range res.Violations {
 		t.Errorf("violation: %s", v)
 	}
@@ -63,8 +63,8 @@ func TestMigrateCampaignDeterministic(t *testing.T) {
 	plan.Seeds = 1
 	plan.WriteBursts = 10
 	plan.ServeSpan = 16
-	a := RunMigrate(plan)
-	b := RunMigrate(plan)
+	a := Run(plan)
+	b := Run(plan)
 	if len(a.Violations) != 0 || len(b.Violations) != 0 {
 		t.Fatalf("violations: %v / %v", a.Violations, b.Violations)
 	}

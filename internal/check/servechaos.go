@@ -10,6 +10,7 @@ import (
 	"github.com/salus-sim/salus/internal/crash"
 	"github.com/salus-sim/salus/internal/fault"
 	"github.com/salus-sim/salus/internal/link"
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/serve"
 	"github.com/salus-sim/salus/internal/stats"
@@ -35,8 +36,9 @@ import (
 //     ambiguous, or a typed engine sentinel) — an untyped error is a
 //     violation;
 //   - zero silent divergences: every verified read matches the client's
-//     oracle modulo bytes tainted by ambiguous writes, and after
-//     quiesce the engine state is byte-identical to the oracles;
+//     oracle, where a byte an ambiguous write touched may read back only
+//     as its old value or an unresolved write's, and after quiesce the
+//     engine state passes the same check;
 //   - outcome conservation: every submitted request has exactly one
 //     outcome, on both the client and the server side of the counter;
 //   - per-class availability meets the configured SLO floors —
@@ -45,16 +47,13 @@ import (
 
 // ServePlan sizes a combined-chaos service campaign.
 type ServePlan struct {
-	Seeds     int   // traffic sessions run by RunServe
-	FirstSeed int64 // sessions cover [FirstSeed, FirstSeed+Seeds)
+	SeedRange
 
 	Clients      int // concurrent client streams per session
 	OpsPerClient int // requests each stream submits
 
-	TotalPages  int // home (CXL) pages
-	DevicePages int // device frames; << TotalPages keeps miss traffic up
-	Shards      int // engine lock shards
-	Geometry    config.Geometry
+	Space
+	Shards int // engine lock shards
 
 	// QueueCap bounds the dirty-writeback queue (ErrQueueFull pressure).
 	QueueCap int
@@ -87,9 +86,6 @@ type ServePlan struct {
 	// Classes overrides the server's per-class tuning; the zero value
 	// selects serve.DefaultClasses via serve.New.
 	Classes [serve.NumClasses]serve.ClassConfig
-
-	// Verbose, when non-nil, receives per-seed progress lines.
-	Verbose func(string)
 }
 
 // DefaultServePlan returns the smoke-budget combined-chaos campaign used
@@ -108,16 +104,17 @@ func DefaultServePlan() ServePlan {
 	var classes [serve.NumClasses]serve.ClassConfig
 	classes[serve.Interactive] = serve.ClassConfig{Queue: 64, Retries: 8, Deadline: 24}
 	return ServePlan{
-		Seeds:     10,
-		FirstSeed: 1,
+		SeedRange: SeedRange{Seeds: 10, FirstSeed: 1},
 
 		Clients:      21,
 		OpsPerClient: 60,
 
-		TotalPages:  24,
-		DevicePages: 6,
-		Shards:      4,
-		Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
+		Space: Space{
+			TotalPages:  24,
+			DevicePages: 6,
+			Geometry:    config.Geometry{SectorSize: 32, BlockSize: 128, ChunkSize: 256, PageSize: 4096},
+		},
+		Shards: 4,
 
 		QueueCap: 4,
 
@@ -145,20 +142,6 @@ func DefaultServePlan() ServePlan {
 	}
 }
 
-// size returns the home address-space size in bytes.
-func (p ServePlan) size() int { return p.TotalPages * p.Geometry.PageSize }
-
-// memConfig returns the securemem configuration of the served engine.
-func (p ServePlan) memConfig() securemem.Config {
-	return securemem.Config{
-		Geometry:    p.Geometry,
-		Model:       securemem.ModelSalus,
-		TotalPages:  p.TotalPages,
-		DevicePages: p.DevicePages,
-		Shards:      p.Shards,
-	}
-}
-
 // serveEnginePolicy is the engine retry policy under service mode: one
 // attempt per service attempt. The zero RetryPolicy selects the engine
 // default (8 retries), so MaxRetries: 0 must ride with non-zero backoff
@@ -167,11 +150,11 @@ func serveEnginePolicy() securemem.RetryPolicy {
 	return securemem.RetryPolicy{MaxRetries: 0, BaseBackoff: 1, MaxBackoff: 1}
 }
 
-// ServeResult summarises a RunServe campaign.
+// ServeResult summarises a combined-chaos campaign, or one session of it.
 type ServeResult struct {
-	SeedsRun int
-	Streams  int // client streams completed
-	Ops      int // requests submitted
+	Verdict
+	Streams int // client streams completed
+	Ops     int // requests submitted
 
 	// Aggregate folds every session's server report: per-class outcome
 	// counters and served-latency histograms (p50/p99/p999 source).
@@ -182,15 +165,13 @@ type ServeResult struct {
 	Crashes            int // crash/recover cycles survived
 	Outages            int // forced link outages injected
 	TaintedBytes       int // bytes still write-ambiguous after quiesce
-
-	// Violations holds every contract breach: silent divergences,
-	// untyped errors, conservation failures, SLO misses. Empty means
-	// PASS.
-	Violations []string
 }
 
-// Failed reports whether the campaign found any contract violation.
-func (r *ServeResult) Failed() bool { return len(r.Violations) > 0 }
+func (r *ServeResult) progress() string {
+	return fmt.Sprintf("%d streams, interactive avail %.3f, %d ckpt (%d refused), %d crashes, %d outages, peak tier %d, %d tainted",
+		r.Streams, r.Aggregate.Availability(serve.Interactive), r.Checkpoints, r.CheckpointRefusals,
+		r.Crashes, r.Outages, r.Aggregate.PeakTier, r.TaintedBytes)
+}
 
 // Tables renders the aggregate per-class outcome and latency tables.
 func (r *ServeResult) Tables() string {
@@ -203,50 +184,19 @@ func (r *ServeResult) Tables() string {
 	return b.String()
 }
 
-// RunServe runs plan.Seeds combined-chaos traffic sessions and asserts
-// the aggregate availability SLOs. It stops after the first session that
-// records violations (the campaign convention: report the first broken
-// seed, not a flood).
-func RunServe(plan ServePlan) ServeResult {
-	var res ServeResult
-	for i := 0; i < plan.Seeds; i++ {
-		seed := plan.FirstSeed + int64(i)
-		s := runServeSeed(plan, seed)
+func (p ServePlan) seedRange() SeedRange { return p.SeedRange }
 
-		res.SeedsRun++
-		res.Streams += plan.Clients
-		res.Ops += plan.Clients * plan.OpsPerClient
-		res.Aggregate.Merge(&s.report)
-		res.Checkpoints += s.checkpoints
-		res.CheckpointRefusals += s.ckptRefused
-		res.Crashes += s.crashes
-		res.Outages += s.outages
-		res.TaintedBytes += s.tainted
-
-		if plan.Verbose != nil {
-			rep := &s.report
-			plan.Verbose(fmt.Sprintf(
-				"seed %d: %d streams, interactive avail %.3f, %d ckpt (%d refused), %d crashes, %d outages, peak tier %d, %d tainted",
-				seed, plan.Clients, rep.Availability(serve.Interactive),
-				s.checkpoints, s.ckptRefused, s.crashes, s.outages, rep.PeakTier, s.tainted))
-		}
-		if len(s.violations) > 0 {
-			for _, v := range s.violations {
-				res.Violations = append(res.Violations, fmt.Sprintf("seed %d: %s", seed, v))
-			}
-			return res
-		}
-	}
-
+// finish asserts the availability SLO floors on the campaign aggregate.
+func (p ServePlan) finish(res *ServeResult) {
 	for c := serve.Class(0); c < serve.NumClasses; c++ {
-		if floor := plan.SLO[c]; floor > 0 {
+		if floor := p.SLO[c]; floor > 0 {
 			if got := res.Aggregate.Availability(c); got < floor {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("SLO miss: class %v availability %.4f below floor %.4f", c, got, floor))
 			}
 		}
 	}
-	if plan.TenantSLO > 0 && len(plan.TenantNames) > 0 {
+	if p.TenantSLO > 0 && len(p.TenantNames) > 0 {
 		if len(res.Aggregate.Tenants) == 0 {
 			res.Violations = append(res.Violations,
 				"per-tenant SLO configured but no tenant rollup was recorded")
@@ -258,42 +208,32 @@ func RunServe(plan ServePlan) ServeResult {
 				continue
 			}
 			got := float64(t.Reads+t.Writes-t.Faults) / float64(att)
-			if got < plan.TenantSLO {
+			if got < p.TenantSLO {
 				res.Violations = append(res.Violations, fmt.Sprintf(
-					"SLO miss: tenant %s availability %.4f below floor %.4f", t.Name, got, plan.TenantSLO))
+					"SLO miss: tenant %s availability %.4f below floor %.4f", t.Name, got, p.TenantSLO))
 			}
 		}
 	}
-	return res
 }
 
-// serveSeedResult is one session's outcome.
-type serveSeedResult struct {
-	report      serve.Report
-	checkpoints int
-	ckptRefused int
-	crashes     int
-	outages     int
-	tainted     int
-	violations  []string
-}
-
-// runServeSeed runs one combined-chaos traffic session: build the
-// engine, arm the chaos surface, start the client fleet, drive chaos
-// paced by the traffic, then quiesce and verify.
-func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
-	var res serveSeedResult
+// runSeed runs one combined-chaos traffic session: build the engine, arm
+// the chaos surface, start the client fleet, drive chaos paced by the
+// traffic, then quiesce and verify.
+func (plan ServePlan) runSeed(seed int64) ServeResult {
+	res := ServeResult{Streams: plan.Clients, Ops: plan.Clients * plan.OpsPerClient}
 	fail := func(format string, a ...any) {
-		res.violations = append(res.violations, fmt.Sprintf(format, a...))
+		res.Violations = append(res.Violations, fmt.Sprintf(format, a...))
 	}
 
-	if plan.Clients <= 0 || plan.OpsPerClient <= 0 || plan.size() < plan.Clients {
-		fail("plan sizing: %d clients × %d ops over %d bytes", plan.Clients, plan.OpsPerClient, plan.size())
+	size := int(plan.size())
+	if plan.Clients <= 0 || plan.OpsPerClient <= 0 || size < plan.Clients {
+		fail("plan sizing: %d clients × %d ops over %d bytes", plan.Clients, plan.OpsPerClient, size)
 		return res
 	}
 
 	// --- Engine with the full chaos surface attached. ---
 	memCfg := plan.memConfig()
+	memCfg.Shards = plan.Shards
 	eng, err := securemem.NewConcurrent(memCfg)
 	if err != nil {
 		fail("session setup: %v", err)
@@ -314,7 +254,7 @@ func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
 
 	// --- Client fleet over disjoint regions, classes round-robin. ---
 	pace := make(chan struct{}, 1024)
-	region := plan.size() / plan.Clients
+	region := size / plan.Clients
 	clients := make([]*serve.Client, plan.Clients)
 	for i := range clients {
 		tenantID := ""
@@ -349,14 +289,14 @@ func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
 	journal := crash.NewJournal(store)
 	var root securemem.TrustedRoot
 	haveRoot := false
-	snaps := make([]serve.ClientState, len(clients))
+	snaps := make([]*oracle.Bytes, len(clients))
 
 	checkpoint := func() {
 		err := srv.WithQuiesced(func(eng *securemem.Concurrent) error {
 			eng.AttachFaults(nil, serveEnginePolicy(), nil)
 			defer func() {
 				if plan.TransientRate > 0 {
-					inj := fault.NewRatePlan(seed^int64(res.checkpoints+1)<<8,
+					inj := fault.NewRatePlan(seed^int64(res.Checkpoints+1)<<8,
 						fault.Rates{Transient: plan.TransientRate}, plan.FaultBurst)
 					eng.AttachFaults(inj, serveEnginePolicy(), nil)
 				}
@@ -367,15 +307,15 @@ func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
 			}
 			root, haveRoot = r, true
 			for i, c := range clients {
-				snaps[i] = c.Snapshot()
+				snaps[i] = c.Oracle().Snapshot()
 			}
 			return nil
 		})
 		switch {
 		case err == nil:
-			res.checkpoints++
+			res.Checkpoints++
 		case linkErr(err):
-			res.ckptRefused++
+			res.CheckpointRefusals++
 		default:
 			fail("checkpoint failed untyped: %v", err)
 		}
@@ -396,12 +336,12 @@ func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
 			// fault plan.
 			reborn.AttachLink(link.New(manual, link.DefaultConfig()), nil, plan.QueueCap)
 			if plan.TransientRate > 0 {
-				inj := fault.NewRatePlan(seed^int64(res.crashes+1)<<24,
+				inj := fault.NewRatePlan(seed^int64(res.Crashes+1)<<24,
 					fault.Rates{Transient: plan.TransientRate}, plan.FaultBurst)
 				reborn.AttachFaults(inj, serveEnginePolicy(), nil)
 			}
 			for i, c := range clients {
-				c.Restore(snaps[i])
+				c.Oracle().Restore(snaps[i])
 			}
 			return reborn, nil
 		})
@@ -409,7 +349,7 @@ func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
 			fail("crash recovery failed: %v", err)
 			return
 		}
-		res.crashes++
+		res.Crashes++
 	}
 
 	// --- Traffic plus the chaos driver. The driver is paced by client
@@ -462,7 +402,7 @@ func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
 				manual.Set(link.StateDown)
 				linkDown = true
 				upAt = ticks + plan.OutageMin + rng.Intn(plan.OutageMax-plan.OutageMin+1)
-				res.outages++
+				res.Outages++
 			}
 		case ev < 8: // checkpoint in a link-up maintenance window
 			if !linkDown {
@@ -486,23 +426,25 @@ func runServeSeed(plan ServePlan, seed int64) serveSeedResult {
 
 	// --- Verification: conservation, typed-only outcomes, zero silent
 	// divergences modulo surviving write ambiguity. ---
-	res.report = srv.Snapshot()
+	res.Aggregate = srv.Snapshot()
 	var attempts uint64
 	for c := serve.Class(0); c < serve.NumClasses; c++ {
-		attempts += res.report.Ops[c].Attempts()
+		attempts += res.Aggregate.Ops[c].Attempts()
 	}
 	if want := uint64(plan.Clients * plan.OpsPerClient); attempts != want {
 		fail("server outcome conservation: %d outcomes for %d submitted requests", attempts, want)
 	}
 	read := func(addr securemem.HomeAddr, buf []byte) error { return final.Read(addr, buf) }
 	for _, c := range clients {
-		res.violations = append(res.violations, c.Violations()...)
-		res.violations = append(res.violations, c.VerifyFinal(read)...)
+		// Count the ambiguity that survived the session before the final
+		// sweep resolves it.
+		res.TaintedBytes += c.Oracle().Ambiguities()
+		res.Violations = append(res.Violations, c.Violations()...)
+		res.Violations = append(res.Violations, c.VerifyFinal(read)...)
 		o := c.Outcomes()
 		if total := o.Served + o.Shed + o.Deadline + o.Overload + o.Refused + o.Ambiguous + o.Untyped; total != plan.OpsPerClient {
 			fail("client outcome conservation: %d outcomes for %d submitted requests", total, plan.OpsPerClient)
 		}
-		res.tainted += c.TaintedBytes()
 	}
 	return res
 }

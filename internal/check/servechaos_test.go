@@ -17,7 +17,7 @@ func TestServeChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		plan.Seeds = 1
 	}
-	res := RunServe(plan)
+	res := Run(plan)
 	if res.Failed() {
 		t.Fatalf("combined-chaos campaign failed:\n  %s", strings.Join(res.Violations, "\n  "))
 	}
@@ -50,7 +50,7 @@ func TestServeChaosHealthyBaseline(t *testing.T) {
 	plan.Seeds = 2
 	plan.EventEvery = 0
 	plan.TransientRate = 0
-	res := RunServe(plan)
+	res := Run(plan)
 	if res.Failed() {
 		t.Fatalf("healthy baseline failed:\n  %s", strings.Join(res.Violations, "\n  "))
 	}
@@ -72,7 +72,7 @@ func TestServeChaosSLOEnforced(t *testing.T) {
 	plan := DefaultServePlan()
 	plan.Seeds = 1
 	plan.SLO[serve.Bulk] = 1.01 // unattainable by construction
-	res := RunServe(plan)
+	res := Run(plan)
 	if !res.Failed() {
 		t.Fatal("impossible SLO floor did not fail the campaign")
 	}

@@ -38,6 +38,22 @@ type Target interface {
 	CheckInvariants() error
 }
 
+// access performs a read- or write-class op on t through the path its
+// kind names; buf is the read buffer or the write payload.
+func access(t Target, op Op, buf []byte) error {
+	switch op.Kind {
+	case OpRead:
+		return t.Read(op.Addr, buf)
+	case OpReadThrough:
+		return t.ReadThrough(op.Addr, buf)
+	case OpWrite:
+		return t.Write(op.Addr, buf)
+	case OpWriteThrough:
+		return t.WriteThrough(op.Addr, buf)
+	}
+	return fmt.Errorf("op kind %v is not an access", op.Kind)
+}
+
 // systemTarget adapts one securemem.System to the Target interface and
 // carries the bookkeeping for its invariant checks.
 type systemTarget struct {
@@ -56,12 +72,9 @@ type systemTarget struct {
 // NewSystemTarget builds a securemem-backed target for one model,
 // fault-armed when cfg carries a FaultPlan.
 func NewSystemTarget(cfg Config, model securemem.Model) (Target, error) {
-	sys, err := securemem.New(securemem.Config{
-		Geometry:    cfg.Geometry,
-		Model:       model,
-		TotalPages:  cfg.TotalPages,
-		DevicePages: cfg.DevicePages,
-	})
+	mc := cfg.memConfig()
+	mc.Model = model
+	sys, err := securemem.New(mc)
 	if err != nil {
 		return nil, err
 	}
@@ -159,12 +172,9 @@ func (t *systemTarget) SuspendResume() error {
 	if err != nil {
 		return fmt.Errorf("suspend: %w", err)
 	}
-	resumed, err := securemem.Resume(securemem.Config{
-		Geometry:    t.cfg.Geometry,
-		Model:       t.model,
-		TotalPages:  t.cfg.TotalPages,
-		DevicePages: t.cfg.DevicePages,
-	}, image, root)
+	mc := t.cfg.memConfig()
+	mc.Model = t.model
+	resumed, err := securemem.Resume(mc, image, root)
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}

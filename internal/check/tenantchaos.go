@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"github.com/salus-sim/salus/internal/config"
 	"github.com/salus-sim/salus/internal/crash"
 	"github.com/salus-sim/salus/internal/fault"
 	"github.com/salus-sim/salus/internal/link"
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/stats"
 	"github.com/salus-sim/salus/internal/tenant"
@@ -38,8 +40,9 @@ import (
 //     bytes, and no sibling byte moves because of one;
 //   - every hostile probe and every chaos casualty is refused typed —
 //     an untyped error anywhere is a violation;
-//   - per-tenant differential oracles stay byte-identical after
-//     quiesce, modulo bytes the attacker's own failed writes tainted;
+//   - per-tenant differential oracles hold after quiesce, where a byte
+//     one of the attacker's failed writes touched may read back only as
+//     its old value or a failed write's;
 //   - blast radius: after the attacker is deliberately wrecked (poison
 //     storm, in-slice ciphertext splatter, crash/recover), the victim
 //     and bystander StateDigests are bit-identical to their pre-wreck
@@ -47,8 +50,7 @@ import (
 
 // TenantPlan sizes a hostile-tenant campaign.
 type TenantPlan struct {
-	Seeds     int   // sessions run by RunTenant
-	FirstSeed int64 // sessions cover [FirstSeed, FirstSeed+Seeds)
+	SeedRange
 
 	WorkersPerTenant int // concurrent worker streams per tenant
 	OpsPerWorker     int // op slots each worker drives
@@ -81,9 +83,6 @@ type TenantPlan struct {
 	// VictimSLO is the availability floor asserted for the victim and
 	// the bystander on the campaign aggregate.
 	VictimSLO float64
-
-	// Verbose, when non-nil, receives per-seed progress lines.
-	Verbose func(string)
 }
 
 // Tenant role names used by the campaign.
@@ -93,6 +92,9 @@ const (
 	roleAttacker  = "attacker"
 )
 
+// tenantRoles orders the roles in TenantResult's per-role fields.
+var tenantRoles = []string{roleVictim, roleBystander, roleAttacker}
+
 // DefaultTenantPlan returns the smoke-budget hostile-tenant campaign
 // used by `make tenant-smoke`: 8 sessions × 3 tenants × 3 workers × 70
 // op slots over 8-page slices with 2 device frames each. The victim
@@ -101,8 +103,7 @@ const (
 // more than 1% availability.
 func DefaultTenantPlan() TenantPlan {
 	return TenantPlan{
-		Seeds:     8,
-		FirstSeed: 1,
+		SeedRange: SeedRange{Seeds: 8, FirstSeed: 1},
 
 		WorkersPerTenant: 3,
 		OpsPerWorker:     70,
@@ -130,11 +131,12 @@ func DefaultTenantPlan() TenantPlan {
 	}
 }
 
-// TenantResult summarises a RunTenant campaign.
+// TenantResult summarises a hostile-tenant campaign, or one session of
+// it.
 type TenantResult struct {
-	SeedsRun int
-	Workers  int // worker streams completed
-	Ops      int // op attempts submitted (honest + hostile + storm sub-ops)
+	Verdict
+	Workers int // worker streams completed
+	Ops     int // op attempts submitted (honest + hostile + storm sub-ops)
 
 	HostileProbes  int // hostile probe attempts driven
 	TypedDenials   int // probes refused ErrTenantDenied
@@ -148,24 +150,25 @@ type TenantResult struct {
 	Outages            int // attacker link outages injected
 	TaintedBytes       int // attacker bytes still write-ambiguous after quiesce
 
-	// Aggregate holds the per-role tenant counters summed over seeds,
-	// in role order victim, bystander, attacker.
+	// Aggregate holds the per-role tenant counters, in tenantRoles order.
 	Aggregate []stats.TenantOps
 
-	// VictimAvailability / BystanderAvailability / AttackerAvailability
-	// are ok/attempt ratios over the whole campaign. Only the first two
-	// are held to the SLO floor; the attacker's is reported so a plan
-	// that accidentally no-ops the chaos is visible.
-	VictimAvailability    float64
-	BystanderAvailability float64
-	AttackerAvailability  float64
-
-	// Violations holds every contract breach. Empty means PASS.
-	Violations []string
+	// OK and Attempts count worker op outcomes per role, in tenantRoles
+	// order; see Availability.
+	OK, Attempts [3]int
 }
 
-// Failed reports whether the campaign found any contract violation.
-func (r *TenantResult) Failed() bool { return len(r.Violations) > 0 }
+// Availability returns a role's ok/attempt ratio over the campaign. Only
+// the victim's and bystander's are held to the SLO floor; the
+// attacker's is reported so a plan that accidentally no-ops the chaos is
+// visible.
+func (r *TenantResult) Availability(role string) float64 {
+	i := slices.Index(tenantRoles, role)
+	if r.Attempts[i] == 0 {
+		return 1
+	}
+	return float64(r.OK[i]) / float64(r.Attempts[i])
+}
 
 // Table renders the aggregate per-tenant rollup.
 func (r *TenantResult) Table() string {
@@ -173,122 +176,30 @@ func (r *TenantResult) Table() string {
 	return o.TenantTable().String()
 }
 
-// RunTenant runs plan.Seeds hostile-tenant sessions and asserts the
-// aggregate availability floors. Like the other campaign runners it
-// stops after the first session that records violations.
-func RunTenant(plan TenantPlan) TenantResult {
-	var res TenantResult
-	agg := map[string]*stats.TenantOps{}
-	roles := []string{roleVictim, roleBystander, roleAttacker}
-	for _, role := range roles {
-		agg[role] = &stats.TenantOps{Name: role}
-	}
-	avail := map[string]*[2]int{} // role -> {ok, attempts}
-	for _, role := range roles {
-		avail[role] = &[2]int{}
-	}
+func (r *TenantResult) progress() string {
+	return fmt.Sprintf("%d ops, %d hostile (%d denied, %d quota), %d/%d replays refused, %d ckpt (%d refused), %d crashes, %d outages, victim avail %.3f",
+		r.Ops, r.HostileProbes, r.TypedDenials, r.QuotaRefusals, r.ReplayRefusals, r.ReplayAttacks,
+		r.Checkpoints, r.CheckpointRefusals, r.Crashes, r.Outages, r.Availability(roleVictim))
+}
 
-	for i := 0; i < plan.Seeds; i++ {
-		seed := plan.FirstSeed + int64(i)
-		s := runTenantSeed(plan, seed)
+func (p TenantPlan) seedRange() SeedRange { return p.SeedRange }
 
-		res.SeedsRun++
-		res.Workers += 3 * plan.WorkersPerTenant
-		res.Ops += s.ops
-		res.HostileProbes += s.hostile
-		res.TypedDenials += s.denials
-		res.QuotaRefusals += s.quota
-		res.ReplayAttacks += s.replays
-		res.ReplayRefusals += s.replayRefused
-		res.Checkpoints += s.checkpoints
-		res.CheckpointRefusals += s.ckptRefused
-		res.Crashes += s.crashes
-		res.Outages += s.outages
-		res.TaintedBytes += s.tainted
-		for _, ops := range s.tenantOps {
-			mergeTenantOps(agg[ops.Name], &ops)
-		}
-		for role, a := range s.avail {
-			avail[role][0] += a[0]
-			avail[role][1] += a[1]
-		}
-
-		if plan.Verbose != nil {
-			plan.Verbose(fmt.Sprintf(
-				"seed %d: %d ops, %d hostile (%d denied, %d quota), %d/%d replays refused, %d ckpt (%d refused), %d crashes, %d outages, victim avail %.3f",
-				seed, s.ops, s.hostile, s.denials, s.quota, s.replayRefused, s.replays,
-				s.checkpoints, s.ckptRefused, s.crashes, s.outages, ratio(s.avail[roleVictim])))
-		}
-		if len(s.violations) > 0 {
-			for _, v := range s.violations {
-				res.Violations = append(res.Violations, fmt.Sprintf("seed %d: %s", seed, v))
-			}
-			break
-		}
-	}
-
-	for _, role := range roles {
-		agg[role].Name = role
-		res.Aggregate = append(res.Aggregate, *agg[role])
-	}
-	res.VictimAvailability = ratio(*avail[roleVictim])
-	res.BystanderAvailability = ratio(*avail[roleBystander])
-	res.AttackerAvailability = ratio(*avail[roleAttacker])
-	if len(res.Violations) == 0 && plan.VictimSLO > 0 {
-		if res.VictimAvailability < plan.VictimSLO {
+// finish asserts the healthy tenants' availability floor on the campaign
+// aggregate.
+func (p TenantPlan) finish(res *TenantResult) {
+	for _, role := range []string{roleVictim, roleBystander} {
+		if got := res.Availability(role); p.VictimSLO > 0 && got < p.VictimSLO {
 			res.Violations = append(res.Violations, fmt.Sprintf(
-				"SLO miss: victim availability %.4f below floor %.4f", res.VictimAvailability, plan.VictimSLO))
-		}
-		if res.BystanderAvailability < plan.VictimSLO {
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"SLO miss: bystander availability %.4f below floor %.4f", res.BystanderAvailability, plan.VictimSLO))
+				"SLO miss: %s availability %.4f below floor %.4f", role, got, p.VictimSLO))
 		}
 	}
-	return res
 }
 
-func ratio(a [2]int) float64 {
-	if a[1] == 0 {
-		return 1
-	}
-	return float64(a[0]) / float64(a[1])
-}
-
-// mergeTenantOps sums src into dst (names handled by the caller).
-func mergeTenantOps(dst, src *stats.TenantOps) {
-	dst.Reads += src.Reads
-	dst.Writes += src.Writes
-	dst.Denied += src.Denied
-	dst.Quota += src.Quota
-	dst.Integrity += src.Integrity
-	dst.Faults += src.Faults
-	dst.Checkpoints += src.Checkpoints
-	dst.Recovers += src.Recovers
-}
-
-// tenantSeedResult is one session's outcome.
-type tenantSeedResult struct {
-	ops           int
-	hostile       int
-	denials       int
-	quota         int
-	replays       int
-	replayRefused int
-	checkpoints   int
-	ckptRefused   int
-	crashes       int
-	outages       int
-	tainted       int
-	tenantOps     []stats.TenantOps
-	avail         map[string][2]int
-	violations    []string
-}
-
-// runTenantSeed runs one hostile-tenant session.
-func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
-	res := tenantSeedResult{avail: map[string][2]int{}}
+// runSeed runs one hostile-tenant session.
+func (plan TenantPlan) runSeed(seed int64) TenantResult {
+	res := TenantResult{Workers: len(tenantRoles) * plan.WorkersPerTenant}
 	fail := func(format string, a ...any) {
-		res.violations = append(res.violations, fmt.Sprintf(format, a...))
+		res.Violations = append(res.Violations, fmt.Sprintf(format, a...))
 	}
 	ps := plan.Geometry.PageSize
 	if plan.WorkersPerTenant <= 0 || plan.OpsPerWorker <= 0 || plan.PagesPerTenant < 2 ||
@@ -298,13 +209,12 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 	}
 
 	// --- Pool: three sibling domains; only the attacker is metered. ---
-	slices := []tenant.Slice{
+	pool, err := tenant.NewPool(tenant.Config{Geometry: plan.Geometry, QueueCap: plan.QueueCap, Slices: []tenant.Slice{
 		{ID: roleVictim, BasePage: tenant.AutoBase, Pages: plan.PagesPerTenant, Frames: plan.FramesPerTenant, Shards: plan.Shards},
 		{ID: roleBystander, BasePage: tenant.AutoBase, Pages: plan.PagesPerTenant, Frames: plan.FramesPerTenant, Shards: plan.Shards},
 		{ID: roleAttacker, BasePage: tenant.AutoBase, Pages: plan.PagesPerTenant, Frames: plan.FramesPerTenant, Shards: plan.Shards,
 			OpRate: plan.AttackerOpRate, OpBurst: plan.AttackerOpBurst},
-	}
-	pool, err := tenant.NewPool(tenant.Config{Geometry: plan.Geometry, Slices: slices, QueueCap: plan.QueueCap})
+	}})
 	if err != nil {
 		fail("session setup: %v", err)
 		return res
@@ -325,7 +235,7 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 	victimScratch := victim.Base() + securemem.HomeAddr(victim.Size()) - securemem.HomeAddr(ps)
 	attackScratch := attacker.Base() + securemem.HomeAddr(attacker.Size()) - securemem.HomeAddr(ps)
 	replay := func() {
-		res.replays++
+		res.ReplayAttacks++
 		if err := victim.Write(victimScratch, secret); err != nil {
 			fail("replay setup: victim write: %v", err)
 			return
@@ -353,7 +263,7 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 			fail("cross-tenant replay VERIFIED under the attacker key domain")
 		case errors.Is(err, securemem.ErrIntegrity), errors.Is(err, securemem.ErrFreshness),
 			errors.Is(err, tenant.ErrQuota), linkErr(err), faultErr(err):
-			res.replayRefused++
+			res.ReplayRefusals++
 		default:
 			fail("replay read failed untyped: %v", err)
 		}
@@ -424,25 +334,25 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 	journal := crash.NewJournal(store)
 	var root securemem.TrustedRoot
 	haveRoot := false
-	var snaps [][2][]byte // per attacker worker: oracle, taint
+	var snaps []*oracle.Bytes // per attacker worker
 
 	attackerWorkers := workers[2*plan.WorkersPerTenant:]
 	checkpoint := func() {
 		attackMu.Lock()
 		defer attackMu.Unlock()
 		disarmFaults()
-		defer armFaults(int64(res.checkpoints+1) << 8)
+		defer armFaults(int64(res.Checkpoints+1) << 8)
 		r, err := attacker.Checkpoint(journal)
 		switch {
 		case err == nil:
 			root, haveRoot = r, true
 			snaps = snaps[:0]
 			for _, w := range attackerWorkers {
-				snaps = append(snaps, w.snapshot())
+				snaps = append(snaps, w.want.Snapshot())
 			}
-			res.checkpoints++
+			res.Checkpoints++
 		case linkErr(err):
-			res.ckptRefused++
+			res.CheckpointRefusals++
 		default:
 			fail("attacker checkpoint failed untyped: %v", err)
 		}
@@ -460,11 +370,11 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 		// The reborn engine renegotiates its chaos surface and the
 		// worker oracles rewind to the checkpoint cut.
 		attacker.AttachLink(link.New(manual, link.DefaultConfig()), nil)
-		armFaults(int64(res.crashes+1) << 24)
+		armFaults(int64(res.Crashes+1) << 24)
 		for i, w := range attackerWorkers {
-			w.restore(snaps[i])
+			w.want.Restore(snaps[i])
 		}
-		res.crashes++
+		res.Crashes++
 	}
 
 	// --- Traffic plus the chaos driver, paced by worker op completions
@@ -513,7 +423,7 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 				manual.Set(link.StateDown)
 				linkDown = true
 				upAt = ticks + plan.OutageMin + rng.Intn(plan.OutageMax-plan.OutageMin+1)
-				res.outages++
+				res.Outages++
 			}
 		case ev < 7: // checkpoint in a link-up maintenance window
 			if !linkDown {
@@ -545,21 +455,22 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 	// --- Verification: per-worker oracles, outcome conservation,
 	// availability accounting. ---
 	for _, w := range workers {
-		res.violations = append(res.violations, w.violations...)
+		// Count the ambiguity that survived the session before the final
+		// sweep resolves it.
+		res.TaintedBytes += w.want.Ambiguities()
+		res.Violations = append(res.Violations, w.violations...)
 		w.verifyFinal()
-		res.violations = append(res.violations, w.finalViolations...)
+		res.Violations = append(res.Violations, w.finalViolations...)
 		if total := w.ok + w.denied + w.quotaHits + w.faulted + w.integrity + w.untyped; total != w.attempts {
 			fail("%s worker outcome conservation: %d outcomes for %d attempts", w.role, total, w.attempts)
 		}
-		res.ops += w.attempts
-		res.hostile += w.hostileOps
-		res.denials += w.denied
-		res.quota += w.quotaHits
-		res.tainted += w.taintedBytes()
-		a := res.avail[w.role]
-		a[0] += w.ok
-		a[1] += w.attempts
-		res.avail[w.role] = a
+		res.Ops += w.attempts
+		res.HostileProbes += w.hostileOps
+		res.TypedDenials += w.denied
+		res.QuotaRefusals += w.quotaHits
+		i := slices.Index(tenantRoles, w.role)
+		res.OK[i] += w.ok
+		res.Attempts[i] += w.attempts
 	}
 
 	// The healthy tenants must have seen zero denials, zero integrity
@@ -602,7 +513,7 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 		if err := pool.RecoverTenant(roleAttacker, store.Bytes(), root); err != nil {
 			fail("post-wreck attacker recovery failed: %v", err)
 		} else {
-			res.crashes++
+			res.Crashes++
 		}
 	}
 
@@ -616,11 +527,11 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 	for _, w := range workers[:2*plan.WorkersPerTenant] {
 		w.finalViolations = w.finalViolations[:0]
 		w.verifyFinal()
-		res.violations = append(res.violations, w.finalViolations...)
+		res.Violations = append(res.Violations, w.finalViolations...)
 	}
 
-	for _, ten := range pool.Tenants() {
-		res.tenantOps = append(res.tenantOps, ten.Stats())
+	for _, ten := range []*tenant.Tenant{victim, bystander, attacker} {
+		res.Aggregate = append(res.Aggregate, ten.Stats())
 	}
 	return res
 }
@@ -631,18 +542,17 @@ func runTenantSeed(plan TenantPlan, seed int64) tenantSeedResult {
 // oracle (they are refused before bytes move, and the campaign fails if
 // not).
 type tenantWorker struct {
-	ten     *tenant.Tenant
+	ten     tenantPort
 	role    string
 	hostile bool
 	plan    TenantPlan
 	base    uint64
 	size    uint64
-	sibling *tenant.Tenant
+	sibling tenantPort
 	slots   int
 	rng     *rand.Rand
 
-	oracle []byte
-	taint  []bool
+	want *oracle.Bytes
 
 	attempts, ok, denied, quotaHits, faulted, integrity, untyped int
 	hostileOps                                                   int
@@ -650,39 +560,21 @@ type tenantWorker struct {
 	finalViolations                                              []string
 }
 
+// tenantPort is the part of a *tenant.Tenant a worker drives; tests
+// plant bugs behind it.
+type tenantPort interface {
+	Base() securemem.HomeAddr
+	Size() uint64
+	Read(addr securemem.HomeAddr, buf []byte) error
+	Write(addr securemem.HomeAddr, data []byte) error
+}
+
 // init seeds the oracle from a pre-chaos read of the whole region.
 func (w *tenantWorker) init() error {
-	w.oracle = make([]byte, w.size)
-	w.taint = make([]bool, w.size)
-	return w.ten.Read(securemem.HomeAddr(w.base), w.oracle)
-}
-
-func (w *tenantWorker) snapshot() [2][]byte {
-	o := append([]byte(nil), w.oracle...)
-	t := make([]byte, len(w.taint))
-	for i, b := range w.taint {
-		if b {
-			t[i] = 1
-		}
-	}
-	return [2][]byte{o, t}
-}
-
-func (w *tenantWorker) restore(s [2][]byte) {
-	copy(w.oracle, s[0])
-	for i := range w.taint {
-		w.taint[i] = s[1][i] == 1
-	}
-}
-
-func (w *tenantWorker) taintedBytes() int {
-	n := 0
-	for _, b := range w.taint {
-		if b {
-			n++
-		}
-	}
-	return n
+	buf := make([]byte, w.size)
+	err := w.ten.Read(securemem.HomeAddr(w.base), buf)
+	w.want = oracle.Of(buf)
+	return err
 }
 
 // run drives the worker's op slots. Attacker workers take the read side
@@ -731,8 +623,9 @@ func (w *tenantWorker) classify(err error, op string) {
 }
 
 // honestStep performs one in-region read or write and maintains the
-// oracle. Failed writes taint their range (the bytes are ambiguous —
-// old or new); a later verified read resolves the taint by adoption.
+// oracle. A write that failed past admission leaves its bytes ambiguous
+// between the old and new values; a later verified read must see one of
+// them.
 func (w *tenantWorker) honestStep() {
 	n := 1 + w.rng.Intn(96)
 	if n > int(w.size) {
@@ -747,15 +640,8 @@ func (w *tenantWorker) honestStep() {
 		if err != nil {
 			return
 		}
-		for j := 0; j < n; j++ {
-			switch {
-			case w.taint[off+j]:
-				w.oracle[off+j] = buf[j]
-				w.taint[off+j] = false
-			case buf[j] != w.oracle[off+j]:
-				w.fail("silent divergence at +%d: read %#02x, oracle %#02x", off+j, buf[j], w.oracle[off+j])
-				return
-			}
+		if d := w.want.Observe(off, buf); d != nil {
+			w.fail("silent divergence: %v", d)
 		}
 	} else {
 		data := make([]byte, n)
@@ -764,16 +650,11 @@ func (w *tenantWorker) honestStep() {
 		w.classify(err, "write")
 		switch {
 		case err == nil:
-			copy(w.oracle[off:off+n], data)
-			for j := 0; j < n; j++ {
-				w.taint[off+j] = false
-			}
+			w.want.Write(off, data)
 		case errors.Is(err, tenant.ErrQuota), errors.Is(err, tenant.ErrTenantDenied):
 			// Refused before the engine: bytes provably unchanged.
 		default:
-			for j := 0; j < n; j++ {
-				w.taint[off+j] = true
-			}
+			w.want.Ambiguous(off, data)
 		}
 	}
 }
@@ -826,9 +707,7 @@ func (w *tenantWorker) probeDenied(addr securemem.HomeAddr, kind string) {
 	}
 }
 
-// verifyFinal re-reads the whole region against the oracle. Tainted
-// bytes are adopted (their ambiguity survived the session); everything
-// else must match exactly.
+// verifyFinal re-reads the whole region against the oracle.
 func (w *tenantWorker) verifyFinal() {
 	ffail := func(format string, a ...any) {
 		w.finalViolations = append(w.finalViolations, fmt.Sprintf("%s worker final: %s", w.role, fmt.Sprintf(format, a...)))
@@ -846,13 +725,7 @@ func (w *tenantWorker) verifyFinal() {
 		ffail("final read failed: %v", err)
 		return
 	}
-	for j := range buf {
-		if w.taint[j] {
-			continue
-		}
-		if buf[j] != w.oracle[j] {
-			ffail("divergence at +%d: state %#02x, oracle %#02x", j, buf[j], w.oracle[j])
-			return
-		}
+	if d := w.want.Observe(0, buf); d != nil {
+		ffail("divergence: %v", d)
 	}
 }

@@ -1,8 +1,11 @@
 package check
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/salus-sim/salus/internal/securemem"
 )
 
 // TestTenantCampaignSmoke runs a trimmed hostile-tenant campaign and
@@ -12,7 +15,7 @@ func TestTenantCampaignSmoke(t *testing.T) {
 	plan := DefaultTenantPlan()
 	plan.Seeds = 3
 	plan.OpsPerWorker = 40
-	res := RunTenant(plan)
+	res := Run(plan)
 	for _, v := range res.Violations {
 		t.Errorf("violation: %s", v)
 	}
@@ -31,9 +34,9 @@ func TestTenantCampaignSmoke(t *testing.T) {
 	if res.Crashes == 0 && res.Outages == 0 && res.Checkpoints == 0 {
 		t.Fatal("chaos driver never fired")
 	}
-	if res.VictimAvailability < plan.VictimSLO || res.BystanderAvailability < plan.VictimSLO {
+	if res.Availability(roleVictim) < plan.VictimSLO || res.Availability(roleBystander) < plan.VictimSLO {
 		t.Fatalf("healthy availability %.4f/%.4f below floor %.4f",
-			res.VictimAvailability, res.BystanderAvailability, plan.VictimSLO)
+			res.Availability(roleVictim), res.Availability(roleBystander), plan.VictimSLO)
 	}
 	table := res.Table()
 	for _, col := range []string{"tenant", "denied", "quota", "recovers"} {
@@ -58,8 +61,8 @@ func TestTenantCampaignDeterministic(t *testing.T) {
 	plan := DefaultTenantPlan()
 	plan.Seeds = 2
 	plan.OpsPerWorker = 30
-	a := RunTenant(plan)
-	b := RunTenant(plan)
+	a := Run(plan)
+	b := Run(plan)
 	if len(a.Violations) != 0 || len(b.Violations) != 0 {
 		t.Fatalf("violations: %v / %v", a.Violations, b.Violations)
 	}
@@ -67,5 +70,46 @@ func TestTenantCampaignDeterministic(t *testing.T) {
 		a.ReplayAttacks != b.ReplayAttacks || a.Checkpoints != b.Checkpoints ||
 		a.Crashes != b.Crashes || a.Outages != b.Outages {
 		t.Fatalf("campaign not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// garbleTenant is a tenant whose every write fails typed after storing
+// the complement of the intended bytes: values no write produced.
+type garbleTenant struct{ data []byte }
+
+func (g *garbleTenant) Base() securemem.HomeAddr { return 0 }
+func (g *garbleTenant) Size() uint64             { return uint64(len(g.data)) }
+
+func (g *garbleTenant) Read(addr securemem.HomeAddr, buf []byte) error {
+	copy(buf, g.data[addr:])
+	return nil
+}
+
+func (g *garbleTenant) Write(addr securemem.HomeAddr, data []byte) error {
+	for i, b := range data {
+		g.data[int(addr)+i] = ^b
+	}
+	return securemem.ErrTransient
+}
+
+// TestTenantOracleRejectsUnwrittenBytes plants that bug behind a worker:
+// a failed write may leave its bytes old or new, never anything else, so
+// the worker must flag the garbled bytes rather than adopt them.
+func TestTenantOracleRejectsUnwrittenBytes(t *testing.T) {
+	g := &garbleTenant{data: make([]byte, 512)}
+	w := &tenantWorker{ten: g, role: roleVictim, plan: DefaultTenantPlan(), size: 512, rng: rand.New(rand.NewSource(1))}
+	if err := w.init(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		w.honestStep()
+	}
+	w.verifyFinal()
+	if w.faulted == 0 {
+		t.Fatal("no write failed; the planted bug never fired")
+	}
+	got := strings.Join(append(w.violations, w.finalViolations...), "\n")
+	if !strings.Contains(got, "divergence") {
+		t.Fatalf("garbled bytes after failed writes were adopted silently; violations: %q", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/sim"
 )
@@ -13,29 +14,21 @@ import (
 // reads and writes over its own disjoint byte region, carrying a
 // region-sized oracle of the plaintext it believes the engine holds.
 //
-// Consistency tracking is ambiguity-aware. A write that fails after
-// reaching the engine (ErrAmbiguous) may or may not have applied, so
-// each touched byte becomes tainted with a candidate-value set — the
-// previous value plus every unresolved ambiguous write's byte — and a
-// later verified read resolves the byte to whichever candidate it
-// observed. A read byte matching no candidate, or a clean byte differing
-// from the oracle, is a silent divergence and is recorded as a
-// violation.
+// A write that fails after reaching the engine (ErrAmbiguous) may or may
+// not have applied, so the oracle marks its bytes ambiguous (see package
+// oracle): a later verified read must see the previous value or the value
+// of an unresolved write, and resolves the byte to it. Any other byte is
+// a silent divergence and is recorded as a violation.
 //
-// All oracle and taint mutation happens inside Request.OnDone callbacks,
-// which the server runs under its engine lock; Snapshot and Restore are
-// meant to be called from a quiesced phase (Server.WithQuiesced or after
-// Run returns), which is what makes checkpoint/crash state capture
-// atomic. Everything else is confined to the Run goroutine.
+// All oracle mutation happens inside Request.OnDone callbacks, which the
+// server runs under its engine lock; snapshots and restores of Oracle()
+// are meant for a quiesced phase (Server.WithQuiesced or after Run
+// returns), which is what makes checkpoint/crash state capture atomic.
+// Everything else is confined to the Run goroutine.
 type Client struct {
-	cfg ClientConfig
-	rng *rand.Rand
-
-	oracle []byte
-	// cand maps a tainted byte offset to its candidate values; the
-	// oracle byte (value if no unresolved write applied) is always one
-	// of them. Untainted offsets are absent.
-	cand map[int][]byte
+	cfg    ClientConfig
+	rng    *rand.Rand
+	oracle *oracle.Bytes
 
 	violations []string
 	outcomes   OutcomeCounts
@@ -78,12 +71,6 @@ type ClientConfig struct {
 	Pace chan<- struct{}
 }
 
-// ClientState is a Client's checkpointable consistency state.
-type ClientState struct {
-	oracle []byte
-	cand   map[int][]byte
-}
-
 // NewClient builds a client over a zeroed region (a fresh engine reads
 // zeros, so the oracle starts all-zero).
 func NewClient(cfg ClientConfig) (*Client, error) {
@@ -105,8 +92,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return &Client{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		oracle: make([]byte, cfg.Len),
-		cand:   make(map[int][]byte),
+		oracle: oracle.New(cfg.Len),
 	}, nil
 }
 
@@ -177,66 +163,22 @@ func (c *Client) note(err error) {
 func (c *Client) onWrite(off int, data []byte, err error) {
 	switch {
 	case err == nil:
-		copy(c.oracle[off:], data)
-		for i := range data {
-			delete(c.cand, off+i)
-		}
+		c.oracle.Write(off, data)
 	case errors.Is(err, ErrAmbiguous):
-		for i, b := range data {
-			c.taint(off+i, b)
-		}
+		c.oracle.Ambiguous(off, data)
 	default:
 		c.fail("write outcome neither success nor ambiguous: %v", err)
 	}
 }
 
-// onRead verifies a read outcome byte-for-byte against the oracle,
-// resolving tainted bytes to whichever candidate the engine returned.
+// onRead verifies a read outcome byte-for-byte against the oracle.
 func (c *Client) onRead(off int, buf []byte, err error) {
 	if err != nil {
 		return // typed refusal: no bytes to verify
 	}
-	for i, b := range buf {
-		j := off + i
-		cands, tainted := c.cand[j]
-		switch {
-		case !tainted:
-			if b != c.oracle[j] {
-				c.fail("silent divergence at +%d: read %#02x, oracle %#02x", j, b, c.oracle[j])
-			}
-		case matches(b, cands):
-			// The verified read resolves the ambiguity: whatever subset
-			// of the unresolved writes applied, this is the byte now.
-			c.oracle[j] = b
-			delete(c.cand, j)
-		default:
-			c.fail("divergence at tainted +%d: read %#02x, candidates %v", j, b, cands)
-		}
+	if err := c.oracle.Observe(off, buf); err != nil {
+		c.fail("silent divergence: %v", err)
 	}
-}
-
-// taint marks offset j ambiguous with candidate value v: the byte may
-// now hold v (the failed write applied) or any previously possible
-// value.
-func (c *Client) taint(j int, v byte) {
-	cands, ok := c.cand[j]
-	if !ok {
-		cands = []byte{c.oracle[j]}
-	}
-	if !matches(v, cands) {
-		cands = append(cands, v)
-	}
-	c.cand[j] = cands
-}
-
-// matches reports whether b is one of the candidate values.
-func matches(b byte, cands []byte) bool {
-	for _, v := range cands {
-		if v == b {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Client) fail(format string, args ...any) {
@@ -252,55 +194,20 @@ func (c *Client) Violations() []string { return c.violations }
 // on a healthy run.
 func (c *Client) Outcomes() OutcomeCounts { return c.outcomes }
 
-// TaintedBytes counts bytes still carrying write ambiguity.
-func (c *Client) TaintedBytes() int { return len(c.cand) }
+// Oracle returns the client's consistency oracle, for snapshots at a
+// checkpoint and rewinds after a crash. Use only from a quiesced phase.
+func (c *Client) Oracle() *oracle.Bytes { return c.oracle }
 
-// Snapshot captures the consistency state for a checkpoint. Must be
-// called from a quiesced phase.
-func (c *Client) Snapshot() ClientState {
-	st := ClientState{
-		oracle: make([]byte, len(c.oracle)),
-		cand:   make(map[int][]byte, len(c.cand)),
-	}
-	copy(st.oracle, c.oracle)
-	for j, cands := range c.cand {
-		st.cand[j] = append([]byte(nil), cands...)
-	}
-	return st
-}
-
-// Restore rewinds the consistency state to a snapshot (crash recovery
-// rolled the engine back to the matching checkpoint). Must be called
-// from a quiesced phase.
-func (c *Client) Restore(st ClientState) {
-	copy(c.oracle, st.oracle)
-	c.cand = make(map[int][]byte, len(st.cand))
-	for j, cands := range st.cand {
-		c.cand[j] = append([]byte(nil), cands...)
-	}
-}
-
-// VerifyFinal reads the whole region through read and compares it
-// against the oracle modulo surviving taint, returning any divergences.
-// Call after quiesce with chaos disarmed: the read itself must succeed.
+// VerifyFinal reads the whole region through read and checks it against
+// the oracle, returning any divergence. Call after quiesce with chaos
+// disarmed: the read itself must succeed.
 func (c *Client) VerifyFinal(read func(addr securemem.HomeAddr, buf []byte) error) []string {
 	buf := make([]byte, c.cfg.Len)
 	if err := read(c.cfg.Base, buf); err != nil {
 		return []string{fmt.Sprintf("client %d (%v): final read failed: %v", c.cfg.ID, c.cfg.Class, err)}
 	}
-	var out []string
-	for j, b := range buf {
-		cands, tainted := c.cand[j]
-		switch {
-		case !tainted:
-			if b != c.oracle[j] {
-				out = append(out, fmt.Sprintf("client %d (%v): final divergence at +%d: engine %#02x, oracle %#02x",
-					c.cfg.ID, c.cfg.Class, j, b, c.oracle[j]))
-			}
-		case !matches(b, cands):
-			out = append(out, fmt.Sprintf("client %d (%v): final divergence at tainted +%d: engine %#02x, candidates %v",
-				c.cfg.ID, c.cfg.Class, j, b, cands))
-		}
+	if err := c.oracle.Observe(0, buf); err != nil {
+		return []string{fmt.Sprintf("client %d (%v): final divergence: %v", c.cfg.ID, c.cfg.Class, err)}
 	}
-	return out
+	return nil
 }

@@ -134,13 +134,13 @@ func TestClientAmbiguityTracking(t *testing.T) {
 
 	c.onWrite(0, []byte{5, 5}, amb)
 	c.onWrite(1, []byte{7}, amb) // second unresolved write overlapping byte 1
-	if got := c.TaintedBytes(); got != 2 {
+	if got := c.Oracle().Ambiguities(); got != 2 {
 		t.Fatalf("tainted bytes = %d, want 2", got)
 	}
 	// Byte 1 may now be 0 (neither applied), 5 (first applied), or 7.
 	c.onRead(1, []byte{5}, nil)
-	if c.TaintedBytes() != 1 {
-		t.Fatalf("read did not resolve byte 1: %d tainted", c.TaintedBytes())
+	if c.Oracle().Ambiguities() != 1 {
+		t.Fatalf("read did not resolve byte 1: %d tainted", c.Oracle().Ambiguities())
 	}
 	if len(c.Violations()) != 0 {
 		t.Fatalf("legitimate candidate flagged: %v", c.Violations())
@@ -152,8 +152,8 @@ func TestClientAmbiguityTracking(t *testing.T) {
 	}
 	// A successful write clears ambiguity outright.
 	c.onWrite(0, []byte{3}, nil)
-	if c.TaintedBytes() != 0 {
-		t.Fatalf("successful write left %d tainted bytes", c.TaintedBytes())
+	if c.Oracle().Ambiguities() != 0 {
+		t.Fatalf("successful write left %d tainted bytes", c.Oracle().Ambiguities())
 	}
 	// Clean-byte divergence is flagged too.
 	c.onRead(0, []byte{4}, nil)
@@ -161,9 +161,9 @@ func TestClientAmbiguityTracking(t *testing.T) {
 		t.Fatalf("clean divergence not flagged: %v", c.Violations())
 	}
 	// Failed reads carry no bytes and must not disturb the oracle.
-	before := c.TaintedBytes()
+	before := c.Oracle().Ambiguities()
 	c.onRead(0, []byte{0xFF}, ErrDeadline)
-	if c.TaintedBytes() != before || len(c.Violations()) != 2 {
+	if c.Oracle().Ambiguities() != before || len(c.Violations()) != 2 {
 		t.Fatal("failed read disturbed the oracle")
 	}
 }

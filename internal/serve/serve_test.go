@@ -10,6 +10,7 @@ import (
 	"github.com/salus-sim/salus/internal/crash"
 	"github.com/salus-sim/salus/internal/fault"
 	"github.com/salus-sim/salus/internal/link"
+	"github.com/salus-sim/salus/internal/oracle"
 	"github.com/salus-sim/salus/internal/securemem"
 	"github.com/salus-sim/salus/internal/stats"
 )
@@ -80,8 +81,8 @@ func TestHealthyTraffic(t *testing.T) {
 		if v := c.Violations(); len(v) > 0 {
 			t.Fatalf("healthy run violations: %v", v)
 		}
-		if c.TaintedBytes() != 0 {
-			t.Fatalf("healthy run left %d tainted bytes", c.TaintedBytes())
+		if c.Oracle().Ambiguities() != 0 {
+			t.Fatalf("healthy run left %d tainted bytes", c.Oracle().Ambiguities())
 		}
 		if v := c.VerifyFinal(eng.Read); len(v) > 0 {
 			t.Fatalf("final sweep: %v", v)
@@ -270,14 +271,14 @@ func TestCheckpointCrashSwap(t *testing.T) {
 	c.Run(srv)
 
 	var root securemem.TrustedRoot
-	var snap ClientState
+	var snap *oracle.Bytes
 	if err := srv.WithQuiesced(func(e *securemem.Concurrent) error {
 		var err error
 		root, err = e.Checkpoint(j)
 		if err != nil {
 			return err
 		}
-		snap = c.Snapshot()
+		snap = c.Oracle().Snapshot()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -292,7 +293,7 @@ func TestCheckpointCrashSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SwapEngine(securemem.ConcurrentFrom(sys, 2))
-	c.Restore(snap)
+	c.Oracle().Restore(snap)
 
 	c.Run(srv) // post-crash traffic against the recovered engine
 
