@@ -182,6 +182,7 @@ func (f *FigResult) String() string {
 
 func sortedKeys(m map[string]float64) []string {
 	keys := make([]string, 0, len(m))
+	//salus-lint:ignore simclock the keys are sorted below before any use
 	for k := range m {
 		keys = append(keys, k)
 	}

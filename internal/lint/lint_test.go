@@ -76,6 +76,7 @@ func TestLockOrderGolden(t *testing.T)      { runGolden(t, "lockorder", LockOrde
 func TestSimClockGolden(t *testing.T) {
 	runGolden(t, "simclock", SimClock{}, filepath.Join("simclock", "util"))
 }
+func TestSimClockMapRangeGolden(t *testing.T) { runGolden(t, "maprange", SimClock{}) }
 
 // TestRepoSelfScan asserts the real tree is clean under the full
 // analyzer suite: every invariant the linters encode actually holds in

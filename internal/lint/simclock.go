@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/types"
 	"strings"
 )
@@ -23,6 +24,15 @@ import (
 // The check is interprocedural: a core function calling a non-core
 // module helper that reaches time.Now three frames down is flagged at
 // the core-side call site, with the chain in the message.
+//
+// Go randomises map iteration order per range statement, so a core
+// package ranging over a map is just as nondeterministic as one reading
+// the clock whenever the order reaches a result. Every range over a
+// map-typed expression in a core package is flagged; where the order
+// provably cannot matter (the keys are sorted afterwards, or the loop
+// computes an order-independent extremum), a reasoned suppression says so.
+// Test files are exempt from this one rule: they range over maps to
+// assert on every entry, where order never reaches a result.
 type SimClock struct{}
 
 // Name implements Analyzer.
@@ -30,7 +40,7 @@ func (SimClock) Name() string { return "simclock" }
 
 // Doc implements Analyzer.
 func (SimClock) Doc() string {
-	return "forbids time.Now/time.Sleep/unseeded math/rand in the deterministic core, including via helper chains"
+	return "forbids time.Now/time.Sleep/unseeded math/rand and unsuppressed map iteration in the deterministic core, including via helper chains"
 }
 
 // simCorePackages are the package names forming the deterministic core.
@@ -186,6 +196,41 @@ func (a SimClock) RunProgram(prog *Program) []Finding {
 					break
 				}
 			}
+		}
+	}
+	return append(out, mapRanges(prog)...)
+}
+
+// mapRanges flags every range statement over a map-typed expression in a
+// core package's non-test files.
+func mapRanges(prog *Program) []Finding {
+	var out []Finding
+	for _, pkg := range prog.Packages {
+		if !simClockCorePkg(pkg.Types.Name()) {
+			continue
+		}
+		for _, file := range pkg.Files {
+			if strings.HasSuffix(pkg.Fset.Position(file.Pos()).Filename, "_test.go") {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if t := pkg.Info.TypeOf(rs.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						out = append(out, Finding{
+							Pos:      pkg.Fset.Position(rs.Pos()),
+							Analyzer: SimClock{}.Name(),
+							Severity: Error,
+							Message: fmt.Sprintf("range over a map in deterministic core package %q visits keys in random order; iterate sorted keys or a slice, or suppress with the reason order cannot matter",
+								pkg.Types.Name()),
+						})
+					}
+				}
+				return true
+			})
 		}
 	}
 	return out

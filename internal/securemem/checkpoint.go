@@ -362,6 +362,7 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 			return nil, err
 		}
 	}
+	//salus-lint:ignore simclock each Update sets one leaf, and the tree root does not depend on the order leaves are set in
 	for chunk := range touchedSplit {
 		if err := s.splitTree.Update(chunk, s.cxlSplit[chunk].Encode()); err != nil {
 			return nil, err

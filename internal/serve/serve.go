@@ -295,6 +295,7 @@ func New(cfg Config) (*Server, error) {
 		s.slots[c] = make(chan struct{}, cc.Queue)
 	}
 	s.tadmit = make(map[string]*tokenBucket, len(cfg.Tenants))
+	//salus-lint:ignore simclock builds a map from a map; the only error (an empty key) does not depend on the order
 	for id, tc := range cfg.Tenants {
 		if id == "" {
 			return nil, errors.New("serve: Config.Tenants key must be non-empty")
@@ -598,6 +599,7 @@ func (s *Server) Snapshot() Report {
 	defer s.mu.Unlock()
 	r := Report{Ops: s.ops, Latency: s.lat, Tier: s.deg.currentTier(), PeakTier: s.tmax}
 	r.Tenants = make([]stats.TenantOps, 0, len(s.tops))
+	//salus-lint:ignore simclock the rollup is sorted by name below
 	for _, o := range s.tops {
 		r.Tenants = append(r.Tenants, *o)
 	}

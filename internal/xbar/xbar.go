@@ -39,6 +39,7 @@ func (l *lruSet) touch(page int) (present bool, evicted int, didEvict bool) {
 	}
 	if len(l.m) >= l.cap {
 		victim, best := -1, uint64(0)
+		//salus-lint:ignore simclock recency stamps are unique, so the minimum is the same whatever the visiting order
 		for p, t := range l.m {
 			if victim < 0 || t < best {
 				victim, best = p, t
