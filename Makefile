@@ -33,11 +33,13 @@ fmt:
 
 # race covers the concurrency-sensitive packages. The experiments
 # package is excluded: its campaigns are minutes-long under the race
-# detector without exercising any extra locking.
+# detector without exercising any extra locking. The oracle package is
+# in because serve clients update their oracles from OnDone callbacks
+# under the engine lock and snapshot them in quiesced phases.
 race:
 	$(GO) test -race ./internal/securemem ./internal/sim ./internal/pagecache \
 		./internal/metrics ./internal/trace ./internal/serve ./internal/tenant \
-		./internal/migrate
+		./internal/migrate ./internal/oracle
 
 # fuzz-smoke gives the untrusted-input fuzzers a short budget each on top
 # of any checked-in corpora: the trace parser, the two persistence
