@@ -204,19 +204,19 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	o.set = map[string]bool{}
-	var stray []string
+	stray := ""
 	fs.Visit(func(f *flag.Flag) {
 		o.set[f.Name] = true
-		if modes[f.Name] == nil && f.Name != "v" && !slices.Contains(c.honours, f.Name) {
-			stray = append(stray, f.Name)
+		if stray == "" && modes[f.Name] == nil && f.Name != "v" && !slices.Contains(c.honours, f.Name) {
+			stray = f.Name
 		}
 	})
-	if len(stray) > 0 {
+	if stray != "" {
 		name := "the differential campaign"
 		if c.mode != "" {
 			name = "-" + c.mode
 		}
-		return usage("-%s is not honoured by %s (it honours -%s and -v)", stray[0], name, strings.Join(c.honours, ", -"))
+		return usage("-%s is not honoured by %s (it honours -%s and -v)", stray, name, strings.Join(c.honours, ", -"))
 	}
 
 	var err error
@@ -229,8 +229,10 @@ func appMain(args []string, stdout, stderr io.Writer) int {
 	if o.chaos != "" && o.chaos != "recoverable" && o.chaos != "unrecoverable" {
 		return usage("-chaos must be empty, recoverable, or unrecoverable (got %q)", o.chaos)
 	}
-	if _, err := link.ParsePlan(o.linkPlan); o.linkPlan != "" && err != nil {
-		return usage("-linkplan: %v", err)
+	if o.linkPlan != "" {
+		if _, err := link.ParsePlan(o.linkPlan); err != nil {
+			return usage("-linkplan: %v", err)
+		}
 	}
 	if *verbose {
 		o.verbose = func(s string) { fmt.Fprintln(stderr, s) }
