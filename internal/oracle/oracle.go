@@ -77,21 +77,31 @@ func (o *Bytes) Ambiguous(off int, data []byte) {
 // first byte that is neither the expected value nor a candidate, as a
 // *Divergence, or nil.
 func (o *Bytes) Observe(off int, got []byte) error {
-	for i, b := range got {
-		j := off + i
-		if o.cand == nil || o.cand[j] == nil {
-			if b != o.want[j] {
-				return &Divergence{Off: j, Got: b, Want: []byte{o.want[j]}}
-			}
-			continue
-		}
-		if bytes.IndexByte(o.cand[j], b) < 0 {
-			return &Divergence{Off: j, Got: b, Want: o.cand[j]}
-		}
-		o.want[j] = b
-		o.resolve(j)
+	if ds := o.ObserveAll(off, got); ds != nil {
+		return ds[0]
 	}
 	return nil
+}
+
+// ObserveAll is Observe returning every divergent byte, in offset order;
+// a divergent byte stays as it was.
+func (o *Bytes) ObserveAll(off int, got []byte) []*Divergence {
+	var ds []*Divergence
+	for i, b := range got {
+		j := off + i
+		switch {
+		case o.cand == nil || o.cand[j] == nil:
+			if b != o.want[j] {
+				ds = append(ds, &Divergence{Off: j, Got: b, Want: []byte{o.want[j]}})
+			}
+		case bytes.IndexByte(o.cand[j], b) < 0:
+			ds = append(ds, &Divergence{Off: j, Got: b, Want: o.cand[j]})
+		default:
+			o.want[j] = b
+			o.resolve(j)
+		}
+	}
+	return ds
 }
 
 func (o *Bytes) resolve(j int) {

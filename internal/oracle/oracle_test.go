@@ -74,3 +74,25 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatalf("restored oracle: %v", err)
 	}
 }
+
+// TestObserveAllReportsEveryByte: every divergent byte is reported in
+// offset order, and the bytes that read back a candidate still resolve.
+func TestObserveAllReportsEveryByte(t *testing.T) {
+	o := New(6)
+	o.Ambiguous(1, []byte{4, 4})
+	ds := o.ObserveAll(0, []byte{3, 4, 9, 0, 0, 8})
+	if len(ds) != 3 || ds[0].Off != 0 || ds[1].Off != 2 || ds[2].Off != 5 {
+		t.Fatalf("divergences = %v, want +0, +2 and +5", ds)
+	}
+	if len(ds[1].Want) != 2 {
+		t.Fatalf("ambiguous divergence lists %v, want both candidates", ds[1].Want)
+	}
+	if o.Ambiguities() != 1 {
+		t.Fatalf("%d bytes ambiguous, want only the divergent +2", o.Ambiguities())
+	}
+	// +1 resolved to 4; +2 may still read 0, and the divergent +0 and +5
+	// kept their expected zeros.
+	if ds := o.ObserveAll(0, make([]byte, 6)); len(ds) != 1 || ds[0].Off != 1 {
+		t.Fatalf("divergences = %v, want only +1 (resolved to 4)", ds)
+	}
+}

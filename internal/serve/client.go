@@ -176,8 +176,8 @@ func (c *Client) onRead(off int, buf []byte, err error) {
 	if err != nil {
 		return // typed refusal: no bytes to verify
 	}
-	if err := c.oracle.Observe(off, buf); err != nil {
-		c.fail("silent divergence: %v", err)
+	for _, d := range c.oracle.ObserveAll(off, buf) {
+		c.fail("silent divergence: %v", d)
 	}
 }
 
@@ -199,15 +199,16 @@ func (c *Client) Outcomes() OutcomeCounts { return c.outcomes }
 func (c *Client) Oracle() *oracle.Bytes { return c.oracle }
 
 // VerifyFinal reads the whole region through read and checks it against
-// the oracle, returning any divergence. Call after quiesce with chaos
-// disarmed: the read itself must succeed.
+// the oracle, returning every divergent byte. Call after quiesce with
+// chaos disarmed: the read itself must succeed.
 func (c *Client) VerifyFinal(read func(addr securemem.HomeAddr, buf []byte) error) []string {
 	buf := make([]byte, c.cfg.Len)
 	if err := read(c.cfg.Base, buf); err != nil {
 		return []string{fmt.Sprintf("client %d (%v): final read failed: %v", c.cfg.ID, c.cfg.Class, err)}
 	}
-	if err := c.oracle.Observe(0, buf); err != nil {
-		return []string{fmt.Sprintf("client %d (%v): final divergence: %v", c.cfg.ID, c.cfg.Class, err)}
+	var out []string
+	for _, d := range c.oracle.ObserveAll(0, buf) {
+		out = append(out, fmt.Sprintf("client %d (%v): final divergence: %v", c.cfg.ID, c.cfg.Class, d))
 	}
-	return nil
+	return out
 }

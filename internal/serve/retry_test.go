@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/salus-sim/salus/internal/securemem"
@@ -165,5 +166,24 @@ func TestClientAmbiguityTracking(t *testing.T) {
 	c.onRead(0, []byte{0xFF}, ErrDeadline)
 	if c.Oracle().Ambiguities() != before || len(c.Violations()) != 2 {
 		t.Fatal("failed read disturbed the oracle")
+	}
+}
+
+// TestClientReportsEveryDivergence: a read and the final sweep flag each
+// divergent byte, clean or ambiguous, not only the first.
+func TestClientReportsEveryDivergence(t *testing.T) {
+	c, err := NewClient(ClientConfig{ID: 1, Class: Interactive, Base: 0, Len: 8, Ops: 0, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.onWrite(2, []byte{5}, fmt.Errorf("%w: injected", ErrAmbiguous))
+	c.onRead(0, []byte{0, 1, 9, 0, 2}, nil) // +1 and +4 clean, +2 ambiguous
+	if got := len(c.Violations()); got != 3 {
+		t.Fatalf("read flagged %d divergent bytes, want 3: %v", got, c.Violations())
+	}
+	engine := []byte{7, 0, 0, 0, 0, 0, 0, 7}
+	v := c.VerifyFinal(func(_ securemem.HomeAddr, buf []byte) error { copy(buf, engine); return nil })
+	if len(v) != 2 || !strings.Contains(v[0], "byte +0") || !strings.Contains(v[1], "byte +7") {
+		t.Fatalf("final sweep = %q, want divergences at +0 and +7", v)
 	}
 }
