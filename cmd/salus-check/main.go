@@ -263,13 +263,17 @@ func (o *options) override(sr *check.SeedRange, fields map[string]*int) {
 	}
 }
 
-// failed prints a failed campaign's report: the shrunk reproducer of a
-// sequence failure, or every violation of the failing seed.
+// failed prints a failed campaign's report: the failure with, when a
+// sequence reproduces it, its shrunk reproducer; or every violation of
+// the failing seed.
 func failed(w io.Writer, name string, v *check.Verdict) bool {
 	head := "salus-check: " + name + "FAIL"
 	if f := v.Failure; f != nil {
-		fmt.Fprintf(w, "%s: %s\n\n", head, f)
-		fmt.Fprintf(w, "minimal reproducer (%d ops):\n", len(f.Seq.Ops))
+		fmt.Fprintf(w, "%s: %s\n", head, f)
+		if f.Replayer == nil {
+			return true
+		}
+		fmt.Fprintf(w, "\nminimal reproducer (%d ops):\n", len(f.Seq.Ops))
 		for i, op := range f.Seq.Ops {
 			fmt.Fprintf(w, "  %3d: %v\n", i, op)
 		}
