@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"github.com/salus-sim/salus/internal/config"
@@ -62,11 +61,14 @@ type Campaign[R any] interface {
 	runSeed(seed int64) R
 }
 
-// result is implemented by every campaign result: the embedded Verdict,
-// plus the counters a progress line reports.
-type result interface {
+// result is implemented by every campaign result R: the embedded
+// Verdict, the counters a progress line reports, and add, which folds one
+// seed's result into the campaign total. add leaves the Verdict to Run.
+type result[R any] interface {
+	*R
 	verdict() *Verdict
 	progress() string
+	add(o *R)
 }
 
 // finisher is implemented by campaigns that assert over the whole
@@ -77,10 +79,7 @@ type finisher[R any] interface{ finish(total *R) }
 // results. It stops at the first failing seed; a failure that carries a
 // Replayer is first shrunk to a minimal reproducer and replayed again, so
 // the reported location and reason describe the minimal sequence.
-func Run[R any, PR interface {
-	*R
-	result
-}](c Campaign[R]) R {
+func Run[R any, PR result[R]](c Campaign[R]) R {
 	var total R
 	tv := PR(&total).verdict()
 	sr := c.seedRange()
@@ -88,7 +87,7 @@ func Run[R any, PR interface {
 		seed := sr.FirstSeed + int64(i)
 		res := c.runSeed(seed)
 		v := PR(&res).verdict()
-		add(&total, &res)
+		PR(&total).add(&res)
 		tv.SeedsRun++
 		if sr.Verbose != nil {
 			status := "clean"
@@ -115,53 +114,6 @@ func Run[R any, PR interface {
 		f.finish(&total)
 	}
 	return total
-}
-
-var verdictType = reflect.TypeOf(Verdict{})
-
-// add folds src into dst field by field. Numbers sum, or keep the larger
-// value where the field is tagged `fold:"max"`; an empty string takes
-// src's; arrays and slices fold element by element, appending what dst
-// lacks; a struct with a Merge method folds through it, any other struct
-// field by field. Verdict fields belong to Run and are skipped.
-func add[T any](dst, src *T) { addValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem(), "") }
-
-func addValue(d, s reflect.Value, tag string) {
-	switch d.Kind() {
-	case reflect.Int, reflect.Int64:
-		d.SetInt(d.Int() + s.Int())
-	case reflect.Uint64:
-		if tag != "max" {
-			d.SetUint(d.Uint() + s.Uint())
-		} else if s.Uint() > d.Uint() {
-			d.SetUint(s.Uint())
-		}
-	case reflect.String:
-		if d.String() == "" {
-			d.Set(s)
-		}
-	case reflect.Array, reflect.Slice:
-		for i := 0; i < s.Len(); i++ {
-			if i < d.Len() {
-				addValue(d.Index(i), s.Index(i), "")
-			} else {
-				d.Set(reflect.Append(d, s.Index(i)))
-			}
-		}
-	case reflect.Struct:
-		if d.Type() == verdictType {
-			return
-		}
-		if m := d.Addr().MethodByName("Merge"); m.IsValid() {
-			m.Call([]reflect.Value{s.Addr()})
-			return
-		}
-		for i := 0; i < d.NumField(); i++ {
-			addValue(d.Field(i), s.Field(i), d.Type().Field(i).Tag.Get("fold"))
-		}
-	default:
-		panic(fmt.Sprintf("check: cannot fold a %v", d.Type()))
-	}
 }
 
 // Replayer is a shrinkable campaign narrowed to the configuration one

@@ -106,9 +106,9 @@ func TestChaosStillCatchesSilentCorruption(t *testing.T) {
 }
 
 // TestChaosScriptedDeterministicReplay pins determinism: replaying the
-// same sequence under the same scripted plan twice yields identical
-// outcomes and identical fault accounting, which is what makes shrunk
-// chaos reproducers trustworthy.
+// same sequence under the same scripted plan twice yields, for every
+// model, identical outcomes and identical op stats, which is what makes
+// shrunk chaos reproducers trustworthy.
 func TestChaosScriptedDeterministicReplay(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Fault = &FaultPlan{
@@ -120,21 +120,25 @@ func TestChaosScriptedDeterministicReplay(t *testing.T) {
 		},
 		Policy: securemem.RetryPolicy{MaxRetries: 4, BaseBackoff: 8, MaxBackoff: 64},
 	}
-	cfg.Models = []securemem.Model{securemem.ModelSalus}
-	var runs []securemem.OpStats
+	var runs [][]securemem.OpStats
 	seq := GenerateSequence(cfg, 42)
 	for i := 0; i < 2; i++ {
-		f, faults := cfg.replay(seq)
+		f, stats := cfg.replay(seq)
 		if f != nil {
 			t.Fatalf("replay %d failed: %v", i, f)
 		}
-		runs = append(runs, faults)
+		runs = append(runs, stats)
 	}
-	if runs[0] != runs[1] {
-		t.Fatalf("replay is not deterministic:\n  first:  %+v\n  second: %+v", runs[0], runs[1])
+	if len(runs[0]) != len(cfg.Models) {
+		t.Fatalf("%d fault-armed targets reported stats, want one per model (%d)", len(runs[0]), len(cfg.Models))
 	}
-	if runs[0].TransientFaults == 0 {
-		t.Fatal("scripted events never fired")
+	for i, m := range cfg.Models {
+		if runs[0][i] != runs[1][i] {
+			t.Fatalf("%v replay is not deterministic:\n  first:  %+v\n  second: %+v", m, runs[0][i], runs[1][i])
+		}
+		if runs[0][i].TransientFaults == 0 {
+			t.Fatalf("%v: scripted events never fired", m)
+		}
 	}
 }
 

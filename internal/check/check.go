@@ -203,18 +203,55 @@ func (f *Failure) String() string {
 type Result struct {
 	Verdict
 	OpsRun int
-	// Faults sums every fault-armed target's final op stats (chaos mode).
-	Faults securemem.OpStats
+	// Faults sums every fault-armed target's fault counters (chaos mode).
+	Faults FaultCounts
 }
 
 func (r *Result) progress() string { return fmt.Sprintf("%d ops", r.OpsRun) }
+
+func (r *Result) add(o *Result) {
+	r.OpsRun += o.OpsRun
+	r.Faults.add(o.Faults)
+}
+
+// FaultCounts are the fault counters of securemem.OpStats a chaos
+// campaign reports, summed over targets and seeds.
+type FaultCounts struct {
+	TransientFaults, Retries, RetryBackoffCycles   uint64
+	PoisonFaults, StuckBitFaults                   uint64
+	TransparentRecoveries                          uint64
+	FramesQuarantined, ChunksPoisoned, PagesPinned uint64
+}
+
+// faultCounts returns st's fault counters.
+func faultCounts(st *securemem.OpStats) FaultCounts {
+	return FaultCounts{st.TransientFaults, st.Retries, st.RetryBackoffCycles,
+		st.PoisonFaults, st.StuckBitFaults, st.TransparentRecoveries,
+		st.FramesQuarantined, st.ChunksPoisoned, st.PagesPinned}
+}
+
+func (f *FaultCounts) add(o FaultCounts) {
+	f.TransientFaults += o.TransientFaults
+	f.Retries += o.Retries
+	f.RetryBackoffCycles += o.RetryBackoffCycles
+	f.PoisonFaults += o.PoisonFaults
+	f.StuckBitFaults += o.StuckBitFaults
+	f.TransparentRecoveries += o.TransparentRecoveries
+	f.FramesQuarantined += o.FramesQuarantined
+	f.ChunksPoisoned += o.ChunksPoisoned
+	f.PagesPinned += o.PagesPinned
+}
 
 func (c Config) seedRange() SeedRange { return c.SeedRange }
 
 func (c Config) runSeed(seed int64) Result {
 	seq := GenerateSequence(c, seed)
 	r := Result{OpsRun: len(seq.Ops)}
-	r.Failure, r.Faults = c.replay(seq)
+	var stats []securemem.OpStats
+	r.Failure, stats = c.replay(seq)
+	for _, st := range stats {
+		r.Faults.add(faultCounts(&st))
+	}
 	return r
 }
 
@@ -237,14 +274,13 @@ func (c Config) goSetup(b *strings.Builder) (string, string) {
 	return "Check", "cfg"
 }
 
-// replay is Replay, also returning the targets' summed fault stats after
-// a clean replay.
-func (c Config) replay(seq Sequence) (*Failure, securemem.OpStats) {
-	var faults securemem.OpStats
+// replay is Replay, also returning after a clean replay the final op
+// stats of every fault-armed target, in target order.
+func (c Config) replay(seq Sequence) (*Failure, []securemem.OpStats) {
 	c.faultSeed = seq.Seed
 	targets, err := c.targets()
 	if err != nil {
-		return &Failure{Seq: seq, OpIdx: -1, Reason: fmt.Sprintf("target setup: %v", err), Replayer: c}, faults
+		return &Failure{Seq: seq, OpIdx: -1, Reason: fmt.Sprintf("target setup: %v", err), Replayer: c}, nil
 	}
 	st := replayState{cfg: c, targets: targets, size: c.size()}
 	for range targets {
@@ -253,20 +289,20 @@ func (c Config) replay(seq Sequence) (*Failure, securemem.OpStats) {
 	for i, op := range seq.Ops {
 		if f := st.apply(op); f != nil {
 			f.Seq, f.OpIdx, f.Replayer = seq, i, c
-			return f, faults
+			return f, nil
 		}
 	}
 	if f := st.finalSweep(); f != nil {
 		f.Seq, f.OpIdx, f.Replayer = seq, len(seq.Ops), c
-		return f, faults
+		return f, nil
 	}
+	var stats []securemem.OpStats
 	for _, t := range targets {
 		if r, ok := t.(faultStateReporter); ok && c.Fault != nil {
-			fs := r.FaultStats()
-			add(&faults, &fs)
+			stats = append(stats, r.FaultStats())
 		}
 	}
-	return nil, faults
+	return nil, stats
 }
 
 type replayState struct {

@@ -90,6 +90,14 @@ func (r *CrashResult) progress() string {
 		r.OpsRun, r.Epochs, r.Cuts, r.Recoveries, r.Detected)
 }
 
+func (r *CrashResult) add(o *CrashResult) {
+	r.OpsRun += o.OpsRun
+	r.Epochs += o.Epochs
+	r.Cuts += o.Cuts
+	r.Recoveries += o.Recoveries
+	r.Detected += o.Detected
+}
+
 func (p CrashPlan) seedRange() SeedRange { return p.SeedRange }
 
 func (p CrashPlan) runSeed(seed int64) CrashResult {

@@ -101,7 +101,7 @@ type LinkResult struct {
 	Queued    uint64 // writebacks parked on the queue
 	Drained   uint64 // writebacks drained back to the home tier
 	Dropped   uint64 // evictions refused by a full queue
-	QueuePeak uint64 `fold:"max"` // campaign-wide queue high-water mark
+	QueuePeak uint64 // campaign-wide queue high-water mark
 
 	DepthSum     uint64 // queue depth summed over post-op samples
 	DepthSamples uint64
@@ -114,6 +114,25 @@ type LinkResult struct {
 func (r *LinkResult) progress() string {
 	return fmt.Sprintf("%d plans, %d ops (%d refused typed, %d queued, %d drained)",
 		r.PlansRun, r.OpsRun, r.OpsRefused, r.Queued, r.Drained)
+}
+
+func (r *LinkResult) add(o *LinkResult) {
+	r.PlansRun += o.PlansRun
+	r.OpsRun += o.OpsRun
+	r.OpsOK += o.OpsOK
+	r.OpsRefused += o.OpsRefused
+	r.Flaps += o.Flaps
+	r.Refusals += o.Refusals
+	r.FastFails += o.FastFails
+	r.Queued += o.Queued
+	r.Drained += o.Drained
+	r.Dropped += o.Dropped
+	r.QueuePeak = max(r.QueuePeak, o.QueuePeak)
+	r.DepthSum += o.DepthSum
+	r.DepthSamples += o.DepthSamples
+	r.AgeSum += o.AgeSum
+	r.AgeCount += o.AgeCount
+	r.RollbackProbes += o.RollbackProbes
 }
 
 func (p LinkPlan) seedRange() SeedRange { return p.SeedRange }

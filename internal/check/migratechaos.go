@@ -90,20 +90,33 @@ type MigrateResult struct {
 	Retries         int // link refusals absorbed by capped backoff
 	Destroyed       int // migrated-away source identities retired
 
-	// Aggregate holds one row: the migration counters of the honest
-	// sessions plus the typed rejections the attacked receivers recorded.
-	Aggregate []stats.MigrateOps
+	// Aggregate is the migration counters of the honest sessions plus
+	// the typed rejections the attacked receivers recorded.
+	Aggregate stats.MigrateOps
 }
 
 // Table renders the aggregate migration counters.
 func (r *MigrateResult) Table() string {
-	o := stats.Ops{Migrates: r.Aggregate}
+	o := stats.Ops{Migrates: []stats.MigrateOps{r.Aggregate}}
 	return o.MigrateTable().String()
 }
 
 func (r *MigrateResult) progress() string {
 	return fmt.Sprintf("%d migrations, %d serve reqs, %d/%d attacks refused typed, %d crash cuts, %d resumes (%d retries), %d retired",
 		r.Migrations, r.ServeRequests, r.TypedRejections, r.Attacks, r.CrashCuts, r.Resumes, r.Retries, r.Destroyed)
+}
+
+func (r *MigrateResult) add(o *MigrateResult) {
+	r.Migrations += o.Migrations
+	r.ServeRequests += o.ServeRequests
+	r.Attacks += o.Attacks
+	r.TypedRejections += o.TypedRejections
+	r.CrashCuts += o.CrashCuts
+	r.Resumes += o.Resumes
+	r.Retries += o.Retries
+	r.Destroyed += o.Destroyed
+	r.Aggregate.Tenant = o.Aggregate.Tenant
+	r.Aggregate.Add(&o.Aggregate)
 }
 
 func (p MigratePlan) seedRange() SeedRange { return p.SeedRange }
@@ -193,8 +206,8 @@ func migrateBystander(t *tenant.Tenant, seed int64) ([32]byte, error) {
 
 // runSeed runs one seed's full phase sequence.
 func (plan MigratePlan) runSeed(seed int64) MigrateResult {
-	res := MigrateResult{Aggregate: []stats.MigrateOps{{Tenant: roleMigrant}}}
-	ops := &res.Aggregate[0]
+	res := MigrateResult{Aggregate: stats.MigrateOps{Tenant: roleMigrant}}
+	ops := &res.Aggregate
 	fail := func(format string, a ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, a...))
 	}
@@ -267,7 +280,7 @@ func (plan MigratePlan) runSeed(seed int64) MigrateResult {
 		ChunkSize: plan.ChunkSize, MaxRounds: plan.MaxRounds,
 		Nonce: migrateNonce(seed, 'a'),
 	})
-	add(ops, &opsA)
+	ops.Add(&opsA)
 	if err != nil {
 		fail("phase A migration failed: %v", err)
 		return res
@@ -388,7 +401,7 @@ func (plan MigratePlan) runSeed(seed int64) MigrateResult {
 	})
 	close(stop)
 	wg.Wait()
-	add(ops, &opsB)
+	ops.Add(&opsB)
 	res.ServeRequests += clientReqs
 	res.Violations = append(res.Violations, clientViolations...)
 	if errB != nil {
@@ -449,7 +462,7 @@ func (plan MigratePlan) runSeed(seed int64) MigrateResult {
 			return nil
 		},
 	})
-	add(ops, &opsC)
+	ops.Add(&opsC)
 	if err != nil {
 		fail("phase C tape recording failed: %v", err)
 		return res
@@ -587,7 +600,7 @@ func (plan MigratePlan) runSeed(seed int64) MigrateResult {
 			}
 			res.TypedRejections++
 			rops := r.Ops()
-			add(ops, &rops)
+			ops.Add(&rops)
 			// Fail-stop: the poisoned receiver refuses everything after.
 			if ferr := r.Feed(tape[len(tape)-1]); ferr == nil {
 				fail("%s at boundary %d: receiver served frames after poisoning", a.name, k)
@@ -627,7 +640,7 @@ func (plan MigratePlan) runSeed(seed int64) MigrateResult {
 		} else {
 			res.TypedRejections++
 			rops := r2.Ops()
-			add(ops, &rops)
+			ops.Add(&rops)
 		}
 	}
 
@@ -644,7 +657,7 @@ func (plan MigratePlan) runSeed(seed int64) MigrateResult {
 		ChunkSize: plan.ChunkSize, MaxRounds: plan.MaxRounds,
 		Nonce: migrateNonce(seed, 'x'),
 	})
-	add(ops, &opsAl)
+	ops.Add(&opsAl)
 	if !errors.Is(err, migrate.ErrAttestation) {
 		fail("alien-host migration: got %v, want ErrAttestation", err)
 	} else {
@@ -715,7 +728,7 @@ func (plan MigratePlan) runSeed(seed int64) MigrateResult {
 		err = s.Run()
 	}
 	opsD := s.Ops()
-	add(ops, &opsD)
+	ops.Add(&opsD)
 	res.Retries += int(opsD.Retries)
 	res.Resumes += int(opsD.Resumes)
 	if parked == 0 || opsD.Resumes == 0 {

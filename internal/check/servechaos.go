@@ -173,6 +173,17 @@ func (r *ServeResult) progress() string {
 		r.Crashes, r.Outages, r.Aggregate.PeakTier, r.TaintedBytes)
 }
 
+func (r *ServeResult) add(o *ServeResult) {
+	r.Streams += o.Streams
+	r.Ops += o.Ops
+	r.Aggregate.Merge(&o.Aggregate)
+	r.Checkpoints += o.Checkpoints
+	r.CheckpointRefusals += o.CheckpointRefusals
+	r.Crashes += o.Crashes
+	r.Outages += o.Outages
+	r.TaintedBytes += o.TaintedBytes
+}
+
 // Tables renders the aggregate per-class outcome and latency tables.
 func (r *ServeResult) Tables() string {
 	var b strings.Builder

@@ -182,6 +182,31 @@ func (r *TenantResult) progress() string {
 		r.Checkpoints, r.CheckpointRefusals, r.Crashes, r.Outages, r.Availability(roleVictim))
 }
 
+func (r *TenantResult) add(o *TenantResult) {
+	r.Workers += o.Workers
+	r.Ops += o.Ops
+	r.HostileProbes += o.HostileProbes
+	r.TypedDenials += o.TypedDenials
+	r.QuotaRefusals += o.QuotaRefusals
+	r.ReplayAttacks += o.ReplayAttacks
+	r.ReplayRefusals += o.ReplayRefusals
+	r.Checkpoints += o.Checkpoints
+	r.CheckpointRefusals += o.CheckpointRefusals
+	r.Crashes += o.Crashes
+	r.Outages += o.Outages
+	r.TaintedBytes += o.TaintedBytes
+	for i := range o.Aggregate {
+		if i == len(r.Aggregate) {
+			r.Aggregate = append(r.Aggregate, stats.TenantOps{Name: o.Aggregate[i].Name})
+		}
+		r.Aggregate[i].Add(&o.Aggregate[i])
+	}
+	for i := range r.OK {
+		r.OK[i] += o.OK[i]
+		r.Attempts[i] += o.Attempts[i]
+	}
+}
+
 func (p TenantPlan) seedRange() SeedRange { return p.SeedRange }
 
 // finish asserts the healthy tenants' availability floor on the campaign

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -414,5 +415,33 @@ func TestMigrateTableRaggedInput(t *testing.T) {
 	r := Run{Ops: Ops{Migrates: []MigrateOps{{Tenant: "m", Rounds: 3, BytesStreamed: 77}}}}
 	if s := r.String(); !strings.Contains(s, "migrate tenant=m rounds=3 sent=0 skipped=0 bytes=77") {
 		t.Fatalf("Run summary missing migrate line:\n%s", s)
+	}
+}
+
+// TestAddSumsEveryCounter guards the typed adders against a counter added
+// to TenantOps or MigrateOps but not to its Add.
+func TestAddSumsEveryCounter(t *testing.T) {
+	check := func(dst, src any, add func()) {
+		d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+		for i := 0; i < d.NumField(); i++ {
+			if d.Field(i).Kind() == reflect.Uint64 {
+				d.Field(i).SetUint(100)
+				s.Field(i).SetUint(uint64(i + 1))
+			}
+		}
+		add()
+		for i := 0; i < d.NumField(); i++ {
+			f := d.Field(i)
+			if f.Kind() == reflect.Uint64 && f.Uint() != uint64(101+i) {
+				t.Errorf("%s.%s = %d after Add, want %d", d.Type().Name(), d.Type().Field(i).Name, f.Uint(), 101+i)
+			}
+		}
+	}
+	ta, tb := TenantOps{Name: "a"}, TenantOps{Name: "b"}
+	check(&ta, &tb, func() { ta.Add(&tb) })
+	ma, mb := MigrateOps{Tenant: "a"}, MigrateOps{Tenant: "b"}
+	check(&ma, &mb, func() { ma.Add(&mb) })
+	if ta.Name != "a" || ma.Tenant != "a" {
+		t.Errorf("Add renamed the row: %q, %q", ta.Name, ma.Tenant)
 	}
 }
