@@ -202,14 +202,17 @@ func TestConcurrentMixedOpsStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prev OpStats
 			for i := 0; i < iters; i++ {
 				st := c.Stats()
-				if st.Writes > 0 && st.Reads == 0 && st.PageMigrationsIn > 0 {
-					// Loose sanity only; the interesting property is that
-					// Stats races with nothing under -race.
-					fail(fmt.Errorf("implausible stats: %+v", st))
+				// Stats is taken under the writer lock, so successive
+				// snapshots never run backwards. The interesting property
+				// is that Stats races with nothing under -race.
+				if st.Reads < prev.Reads || st.Writes < prev.Writes || st.PageMigrationsIn < prev.PageMigrationsIn {
+					fail(fmt.Errorf("stats ran backwards: %+v after %+v", st, prev))
 					return
 				}
+				prev = st
 				if c.Size() != 32*4096 {
 					fail(fmt.Errorf("Size = %d", c.Size()))
 					return
