@@ -124,8 +124,17 @@ func main() {
 	}
 	// Cross-domain recovery is refused too: beta cannot be "restored"
 	// from alpha's journal.
+	betaBefore = beta.StateDigest()
 	if err := pool.RecoverTenant("beta", store.Bytes(), root); err == nil {
 		log.Fatal("FAILED: beta accepted alpha's recovery journal")
+	}
+	// The refusal happens before recovery writes a byte: beta still
+	// serves its own state.
+	if beta.StateDigest() != betaBefore {
+		log.Fatal("FAILED: the refused recovery moved beta's state digest")
+	}
+	if err := beta.Read(beta.Base(), buf); err != nil || !bytes.Equal(buf, secret) {
+		log.Fatalf("FAILED: beta unreadable after the refused recovery (err=%v)", err)
 	}
 	fmt.Println("  beta untouched; foreign journal refused typed")
 	fmt.Println("\nall containment properties held")

@@ -52,7 +52,8 @@ var (
 // StableStore is the durable medium a Journal writes through. Each Write
 // is one write boundary — the unit at which the power-loss harness can
 // cut — and Sync is the durability barrier: data from writes issued
-// before a successful Sync survives any later power loss intact.
+// before a successful Sync survives any later power loss intact. Write
+// must not retain p after it returns: the journal reuses the buffer.
 type StableStore interface {
 	Write(p []byte) error
 	Sync() error

@@ -33,7 +33,15 @@ const (
 
 var recMagic = [2]byte{'S', 'J'}
 
-// Record is one journal entry as seen by Replay.
+// FramedLen returns the journal bytes one record with an n-byte payload
+// occupies on the medium.
+func FramedLen(n int) int { return recHeaderLen + n + recTrailerLen }
+
+// CommitLen is the journal bytes of one commit record.
+const CommitLen = recHeaderLen + 4 + recTrailerLen
+
+// Record is one journal entry as seen by Replay. Its Payload aliases the
+// journal bytes Replay was given.
 type Record struct {
 	Type    byte
 	Epoch   uint64
@@ -52,6 +60,7 @@ type Journal struct {
 	written  uint64
 	curEpoch uint64
 	pending  uint32 // data records appended in curEpoch since its last commit
+	rec      []byte // the record being framed, reused (stores copy what Write hands them)
 }
 
 // NewJournal returns a journal writing through store.
@@ -64,6 +73,14 @@ func NewJournal(store StableStore) *Journal {
 // epoch abandons any uncommitted records of the previous one (Replay will
 // discard them).
 func (j *Journal) Append(typ byte, epoch uint64, payload []byte) error {
+	return j.AppendFunc(typ, epoch, len(payload), func(p []byte) { copy(p, payload) })
+}
+
+// AppendFunc is Append for an n-byte payload that fill encodes in place,
+// straight into the framed record handed to the store, so a caller
+// serialising its own state writes each payload byte once. fill must
+// write all n bytes and must not retain the slice.
+func (j *Journal) AppendFunc(typ byte, epoch uint64, n int, fill func(payload []byte)) error {
 	if typ >= TypeCommit {
 		return fmt.Errorf("crash: record type %#x reserved for commit records", typ)
 	}
@@ -71,10 +88,9 @@ func (j *Journal) Append(typ byte, epoch uint64, payload []byte) error {
 		j.curEpoch = epoch
 		j.pending = 0
 	}
-	if err := j.store.Write(encodeRecord(typ, epoch, payload)); err != nil {
+	if err := j.write(typ, epoch, n, fill); err != nil {
 		return err
 	}
-	j.written += uint64(recHeaderLen + len(payload) + recTrailerLen)
 	j.pending++
 	return nil
 }
@@ -90,12 +106,9 @@ func (j *Journal) Commit(epoch uint64) error {
 	if err := j.store.Sync(); err != nil {
 		return err
 	}
-	payload := make([]byte, 4)
-	binary.LittleEndian.PutUint32(payload, count)
-	if err := j.store.Write(encodeRecord(TypeCommit, epoch, payload)); err != nil {
+	if err := j.write(TypeCommit, epoch, 4, func(p []byte) { binary.LittleEndian.PutUint32(p, count) }); err != nil {
 		return err
 	}
-	j.written += uint64(recHeaderLen + len(payload) + recTrailerLen)
 	if err := j.store.Sync(); err != nil {
 		return err
 	}
@@ -107,23 +120,34 @@ func (j *Journal) Commit(epoch uint64) error {
 // BytesWritten returns the total framed bytes handed to the store.
 func (j *Journal) BytesWritten() uint64 { return j.written }
 
-func encodeRecord(typ byte, epoch uint64, payload []byte) []byte {
-	rec := make([]byte, recHeaderLen+len(payload)+recTrailerLen)
+// write frames one record around the n-byte payload fill encodes and
+// hands it to the store as one write.
+func (j *Journal) write(typ byte, epoch uint64, n int, fill func(payload []byte)) error {
+	size := FramedLen(n)
+	if cap(j.rec) < size {
+		j.rec = make([]byte, size)
+	}
+	rec := j.rec[:size]
 	copy(rec, recMagic[:])
 	rec[2] = typ
 	binary.LittleEndian.PutUint64(rec[3:], epoch)
-	binary.LittleEndian.PutUint32(rec[11:], uint32(len(payload)))
-	copy(rec[recHeaderLen:], payload)
-	sum := crc32.ChecksumIEEE(rec[2 : recHeaderLen+len(payload)])
-	binary.LittleEndian.PutUint32(rec[recHeaderLen+len(payload):], sum)
-	return rec
+	binary.LittleEndian.PutUint32(rec[11:], uint32(n))
+	fill(rec[recHeaderLen : recHeaderLen+n])
+	sum := crc32.ChecksumIEEE(rec[2 : recHeaderLen+n])
+	binary.LittleEndian.PutUint32(rec[recHeaderLen+n:], sum)
+	if err := j.store.Write(rec); err != nil {
+		return err
+	}
+	j.written += uint64(size)
+	return nil
 }
 
 // Replay scans raw journal bytes and returns, in order, the data records
 // of every committed epoch up to and including target — the incremental
 // history that reconstructs the target epoch's state. It stops at
 // target's commit record; damage beyond it (the normal debris of a crash
-// mid-checkpoint) is never examined.
+// mid-checkpoint) is never examined. Record payloads alias data; nothing
+// is copied.
 //
 // Outcomes:
 //   - target reached: ([]Record, nil). target 0 means "never
@@ -218,7 +242,7 @@ func decodeRecord(data []byte) (Record, int, error) {
 	return Record{
 		Type:    data[2],
 		Epoch:   binary.LittleEndian.Uint64(data[3:]),
-		Payload: append([]byte(nil), data[recHeaderLen:recHeaderLen+int(plen)]...),
+		Payload: data[recHeaderLen : recHeaderLen+int(plen) : recHeaderLen+int(plen)],
 	}, total, nil
 }
 

@@ -1,6 +1,9 @@
 package crash
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // MemStore is a trivial in-memory StableStore with no failure model: every
 // write is immediately durable. It backs normal (non-injected) checkpoint
@@ -23,6 +26,18 @@ func (m *MemStore) Sync() error { return nil }
 
 // Bytes returns a copy of everything written.
 func (m *MemStore) Bytes() []byte { return append([]byte(nil), m.buf...) }
+
+// Grow reserves room for n more bytes, so the writes filling them do not
+// reallocate the store.
+func (m *MemStore) Grow(n int) { m.buf = slices.Grow(m.buf, n) }
+
+// Len returns the number of bytes written so far.
+func (m *MemStore) Len() int { return len(m.buf) }
+
+// Tail returns the bytes written from offset off on, without copying.
+// The view stays valid and unchanged as the store grows (the store only
+// appends), but the caller must not modify it.
+func (m *MemStore) Tail(off int) []byte { return m.buf[off:len(m.buf):len(m.buf)] }
 
 // DamageMode selects how the writes issued after the last successful Sync
 // — the contents of the device's volatile write cache at the instant of

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 )
 
@@ -63,32 +64,47 @@ const (
 // chain is one endpoint's half of the MAC chain. Source and receiver
 // each hold one, seeded identically from the handshake transcript, and
 // advance them in lockstep — frame n's MAC is bound to the MACs of
-// every frame before it.
+// every frame before it. The keyed HMAC state is built once per chain
+// and Reset per frame.
 type chain struct {
-	key  []byte
+	mac  hash.Hash
 	link [32]byte
 	seq  uint32
 }
 
 func newChain(key []byte, seed [32]byte) *chain {
-	return &chain{key: key, link: seed}
+	return &chain{mac: hmac.New(sha256.New, key), link: seed}
 }
 
-// seal encodes and authenticates one frame at the chain's current
-// position and advances the chain.
-func (c *chain) seal(typ byte, payload []byte) []byte {
-	f := make([]byte, frameOverhead+len(payload))
+// tag computes the frame MAC over the chain state and body into dst.
+func (c *chain) tag(dst, body []byte) []byte {
+	c.mac.Reset()
+	c.mac.Write(c.link[:])
+	c.mac.Write(body)
+	return c.mac.Sum(dst)
+}
+
+// seal encodes and authenticates one frame, whose payload is the
+// concatenation of parts, at the chain's current position and advances
+// the chain.
+func (c *chain) seal(typ byte, parts ...[]byte) []byte {
+	plen := 0
+	for _, p := range parts {
+		plen += len(p)
+	}
+	f := make([]byte, frameOverhead+plen)
 	f[0], f[1], f[2] = frameMagic0, frameMagic1, typ
 	binary.LittleEndian.PutUint32(f[3:7], c.seq)
-	binary.LittleEndian.PutUint32(f[7:11], uint32(len(payload)))
-	copy(f[frameHeaderLen:], payload)
-	body := f[2 : frameHeaderLen+len(payload)]
-	binary.LittleEndian.PutUint32(f[frameHeaderLen+len(payload):], crc32.ChecksumIEEE(body))
-	mac := hmac.New(sha256.New, c.key)
-	mac.Write(c.link[:])
-	mac.Write(body)
-	mac.Sum(f[frameHeaderLen+len(payload)+frameCRCLen : frameHeaderLen+len(payload)+frameCRCLen])
-	c.advance(f[frameHeaderLen+len(payload)+frameCRCLen:])
+	binary.LittleEndian.PutUint32(f[7:11], uint32(plen))
+	off := frameHeaderLen
+	for _, p := range parts {
+		off += copy(f[off:], p)
+	}
+	body := f[2 : frameHeaderLen+plen]
+	binary.LittleEndian.PutUint32(f[frameHeaderLen+plen:], crc32.ChecksumIEEE(body))
+	tagAt := frameHeaderLen + plen + frameCRCLen
+	c.tag(f[tagAt:tagAt], body)
+	c.advance(f[tagAt:])
 	return f
 }
 
@@ -117,10 +133,8 @@ func (c *chain) open(frame []byte) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: frame seq %d at stream position %d", ErrReplay, seq, c.seq)
 	}
 	tag := frame[frameHeaderLen+plen+frameCRCLen:]
-	mac := hmac.New(sha256.New, c.key)
-	mac.Write(c.link[:])
-	mac.Write(body)
-	if !hmac.Equal(tag, mac.Sum(nil)) {
+	var want [frameMACLen]byte
+	if !hmac.Equal(tag, c.tag(want[:0], body)) {
 		return 0, nil, fmt.Errorf("%w: frame seq %d MAC mismatch", ErrAttestation, c.seq)
 	}
 	c.advance(tag)
@@ -129,9 +143,9 @@ func (c *chain) open(frame []byte) (byte, []byte, error) {
 
 // advance folds a verified frame's MAC into the chain.
 func (c *chain) advance(tag []byte) {
-	h := sha256.New()
-	h.Write(c.link[:])
-	h.Write(tag)
-	h.Sum(c.link[:0])
+	var in [32 + frameMACLen]byte
+	copy(in[:32], c.link[:])
+	copy(in[32:], tag)
+	c.link = sha256.Sum256(in[:])
 	c.seq++
 }

@@ -230,6 +230,9 @@ func Start(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	store := crash.NewMemStore()
+	// The bootstrap round journals every page; room for it up front
+	// keeps the store from regrowing (and recopying) while it fills.
+	store.Grow(int(securemem.MaxCheckpointBytes(cfg.SourcePool.Geometry(), cfg.Source.Pages())))
 	s := &Session{
 		cfg:     cfg,
 		recv:    recv,
@@ -348,9 +351,10 @@ func (s *Session) syncRound(final bool) error {
 	if err != nil {
 		return fmt.Errorf("migrate: source checkpoint: %w", err)
 	}
-	delta := s.store.Bytes()[s.framed:]
+	start := s.framed
+	delta := s.store.Tail(start)
 	s.lastDelta = len(delta)
-	s.framed = len(s.store.Bytes())
+	s.framed = s.store.Len()
 
 	s.round++
 	hdr := make([]byte, 20)
@@ -363,10 +367,9 @@ func (s *Session) syncRound(final bool) error {
 		if end > len(delta) {
 			end = len(delta)
 		}
-		chunk := make([]byte, 8+end-off)
-		putU64(chunk, uint64(s.framed-len(delta)+off))
-		copy(chunk[8:], delta[off:end])
-		s.enqueue(frameChunk, chunk)
+		var at [8]byte
+		putU64(at[:], uint64(start+off))
+		s.enqueue(frameChunk, at[:], delta[off:end])
 	}
 	s.enqueue(frameCommit, root.MarshalBinary())
 	if !final {
@@ -396,11 +399,12 @@ func (s *Session) cutover() error {
 	return nil
 }
 
-// enqueue seals one frame at the current chain position and queues it
-// for delivery. Sealing order fixes stream order; delivery may be
+// enqueue seals one frame, whose payload is the concatenation of the
+// given parts, at the current chain position and queues it for
+// delivery. Sealing order fixes stream order; delivery may be
 // interrupted and resumed without re-sealing.
-func (s *Session) enqueue(typ byte, payload []byte) {
-	s.queue = append(s.queue, s.ch.seal(typ, payload))
+func (s *Session) enqueue(typ byte, payload ...[]byte) {
+	s.queue = append(s.queue, s.ch.seal(typ, payload...))
 }
 
 // drain delivers queued frames in order: each one crosses the link

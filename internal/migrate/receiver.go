@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/salus-sim/salus/internal/crash"
 	"github.com/salus-sim/salus/internal/securemem"
@@ -27,6 +28,12 @@ type Receiver struct {
 
 	ch    *chain
 	floor uint64 // lineage floor: newest epoch this destination trusts
+
+	// maxDelta bounds a round's declared journal delta: the largest
+	// checkpoint epoch the destination tenant's own slice can produce.
+	// The declared length sizes the round's buffer growth, so it is
+	// judged against the destination's size, never the source's word.
+	maxDelta uint64
 
 	buf       []byte // verified journal bytes, applied only at cutover
 	expect    int    // buf length the open round must reach
@@ -56,11 +63,12 @@ func NewReceiver(pool *tenant.Pool, id string, nonce [32]byte) (*Receiver, error
 		return nil, err
 	}
 	return &Receiver{
-		pool:  pool,
-		id:    id,
-		key:   key,
-		nonce: nonce,
-		ops:   stats.MigrateOps{Tenant: id},
+		pool:     pool,
+		id:       id,
+		key:      key,
+		nonce:    nonce,
+		maxDelta: securemem.MaxCheckpointBytes(pool.Geometry(), t.Pages()),
+		ops:      stats.MigrateOps{Tenant: id},
 	}, nil
 }
 
@@ -140,12 +148,16 @@ func (r *Receiver) feedRound(p []byte) error {
 	if epoch <= r.floor {
 		return r.poison(fmt.Errorf("%w: round epoch %d at or below trusted epoch %d", ErrFreshness, epoch, r.floor))
 	}
-	if dlen > uint64(maxFramePayload)*(1<<12) {
-		return r.poison(fmt.Errorf("%w: implausible round delta %d bytes", ErrTornStream, dlen))
+	if dlen > r.maxDelta {
+		return r.poison(fmt.Errorf("%w: round delta %d bytes exceeds the %d-byte largest checkpoint of tenant %q",
+			ErrTornStream, dlen, r.maxDelta, r.id))
 	}
 	r.lastRound = round
 	r.expect = len(r.buf) + int(dlen)
 	r.roundOpen = true
+	// Grow once to the authenticated round length; the chunks then
+	// append without reallocating.
+	r.buf = slices.Grow(r.buf, int(dlen))
 	return nil
 }
 

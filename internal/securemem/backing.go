@@ -14,7 +14,9 @@ import (
 // hands each tenant engine its own disjoint window. The engine treats
 // the provided memory exactly like its own: it zeroes both tiers on New
 // (the initial-encryption pass assumes zero plaintext) and never reads
-// or writes a byte outside the slices it was given.
+// or writes a byte outside the slices it was given. Recover and Resume
+// write the slices only once the restored state has verified, so a
+// refused restore leaves them exactly as it found them.
 //
 // The caller owns the disjointness contract: two engines handed
 // overlapping windows would silently corrupt each other. The tenant

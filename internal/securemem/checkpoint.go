@@ -24,8 +24,8 @@ import (
 // journal is rejected as a rollback.
 //
 // Pages never touched since New need no records at all: the initial
-// encryption is a deterministic function of the keys, so Recover's fresh
-// System already holds their exact home-tier bytes.
+// encryption is a deterministic function of the keys, so Recover
+// recreates their exact home-tier bytes.
 
 // RecordPage is the journal record type of one page checkpoint record.
 // Payload layout (little-endian):
@@ -107,7 +107,8 @@ func (s *System) Checkpoint(j *crash.Journal) (TrustedRoot, error) {
 		if err := s.checkpointWriteback(page); err != nil {
 			return root, err
 		}
-		if err := j.Append(RecordPage, epoch, s.encodePageRecord(page)); err != nil {
+		fill := func(buf []byte) { s.putPageRecord(buf, page) }
+		if err := j.AppendFunc(RecordPage, epoch, s.pageRecordSize(), fill); err != nil {
 			return root, err
 		}
 	}
@@ -231,43 +232,51 @@ func (s *System) checkpointWriteback(page int) error {
 	return nil
 }
 
-// encodePageRecord serialises the home-tier state of one page.
-func (s *System) encodePageRecord(page int) []byte {
+// pageRecordSize returns the payload length of this system's page
+// records: the split form once split state exists.
+func (s *System) pageRecordSize() int {
+	plain, split := pageRecordLen(s.geo)
+	if s.cxlSplit != nil {
+		return split
+	}
+	return plain
+}
+
+// putPageRecord serialises the home-tier state of one page into buf,
+// which holds exactly pageRecordSize bytes.
+func (s *System) putPageRecord(buf []byte, page int) {
 	g := s.geo
-	var buf []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(page))
-	buf = append(buf, tmp[:]...)
-	buf = append(buf, s.cxlData[page*g.PageSize:(page+1)*g.PageSize]...)
+	binary.LittleEndian.PutUint64(buf, uint64(page))
+	off := 8
+	off += copy(buf[off:], s.cxlData[page*g.PageSize:(page+1)*g.PageSize])
 	blockBase := page * g.BlocksPerPage()
 	for b := 0; b < g.BlocksPerPage(); b++ {
 		enc := s.macSectors[blockBase+b].Encode()
-		buf = append(buf, enc[:]...)
+		off += copy(buf[off:], enc[:])
 	}
 	chunkBase := page * g.ChunksPerPage()
 	for c := 0; c < g.ChunksPerPage(); c++ {
 		chunk := chunkBase + c
 		major := s.collapsed[chunk/counters.CollapsedMajors].Majors[chunk%counters.CollapsedMajors]
-		var m [4]byte
-		binary.LittleEndian.PutUint32(m[:], major)
-		buf = append(buf, m[:]...)
+		binary.LittleEndian.PutUint32(buf[off:], major)
+		off += 4
 	}
 	if s.cxlSplit == nil {
-		buf = append(buf, 0)
-		return buf
+		buf[off] = 0
+		return
 	}
-	buf = append(buf, 1)
+	buf[off] = 1
+	off++
 	for c := 0; c < g.ChunksPerPage(); c++ {
 		chunk := chunkBase + c
+		buf[off] = 0
 		if s.splitDirty[chunk] {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+			buf[off] = 1
 		}
+		off++
 		enc := s.cxlSplit[chunk].Encode()
-		buf = append(buf, enc[:]...)
+		off += copy(buf[off:], enc[:])
 	}
-	return buf
 }
 
 // pageRecordLen returns the two valid lengths of a page record payload.
@@ -275,6 +284,15 @@ func pageRecordLen(g config.Geometry) (plain, split int) {
 	plain = 8 + g.PageSize + g.BlocksPerPage()*32 + g.ChunksPerPage()*4 + 1
 	split = plain + g.ChunksPerPage()*33
 	return plain, split
+}
+
+// MaxCheckpointBytes bounds the journal bytes one checkpoint epoch of a
+// system of pages home pages under geo can write: a page record for
+// every page, each in its larger split form, plus the commit record. A
+// FullCheckpoint of a system with split state writes exactly this much.
+func MaxCheckpointBytes(geo config.Geometry, pages int) uint64 {
+	_, split := pageRecordLen(geo)
+	return uint64(pages)*uint64(crash.FramedLen(split)) + crash.CommitLen
 }
 
 // Recover reconstructs a Salus system from a checkpoint journal and its
@@ -285,6 +303,12 @@ func pageRecordLen(g config.Geometry) (plain, split int) {
 // ErrFreshness. cfg and keys must match the checkpointed system's
 // (Config/geometry disagreement shows up as record-size or root
 // mismatches, both typed).
+//
+// The restore is one pass and verifies before it writes: the records are
+// decoded into the counters and MAC sectors, the home trees are built
+// once and checked against root, and only then is the backing written —
+// recorded pages copied in, every other page given the deterministic
+// initial encryption. A refused recovery writes no byte of cfg.Backing.
 func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 	if cfg.Model != ModelSalus {
 		return nil, errors.New("securemem: Recover requires ModelSalus")
@@ -293,13 +317,13 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := New(cfg)
+	s, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
 	g := cfg.Geometry
 	plainLen, splitLen := pageRecordLen(g)
-	touchedSplit := map[int]bool{}
+	pages := make([][]byte, cfg.TotalPages) // latest recorded ciphertext per page
 	for _, rec := range recs {
 		if rec.Type != RecordPage {
 			return nil, fmt.Errorf("%w: unknown record type %#x", crash.ErrTornCheckpoint, rec.Type)
@@ -319,7 +343,7 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 		}
 		p := int(page)
 		off := 8
-		copy(s.cxlData[p*g.PageSize:(p+1)*g.PageSize], rec.Payload[off:off+g.PageSize])
+		pages[p] = rec.Payload[off : off+g.PageSize]
 		off += g.PageSize
 		blockBase := p * g.BlocksPerPage()
 		var sector [32]byte
@@ -337,8 +361,8 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 		}
 		off++ // split flag, already decoded from the length
 		if hasSplit {
-			if err := s.ensureSplitState(); err != nil {
-				return nil, err
+			if s.cxlSplit == nil {
+				s.allocSplitCounters()
 			}
 			for c := 0; c < g.ChunksPerPage(); c++ {
 				chunk := chunkBase + c
@@ -347,43 +371,19 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 				copy(sector[:], rec.Payload[off:off+32])
 				s.cxlSplit[chunk] = counters.DecodeCXLSplit(sector)
 				off += 32
-				touchedSplit[chunk] = true
 			}
 		}
 	}
-	if err := s.rebuildHomeTrees(); err != nil {
-		return nil, err
-	}
 	if root.HasSplit && s.cxlSplit == nil {
 		// Split state existed but no committed record carried it (it was
-		// allocated but never populated); materialise the pristine tree so
-		// the root can be verified.
-		if err := s.ensureSplitState(); err != nil {
-			return nil, err
-		}
+		// allocated but never populated); the pristine counters are what
+		// the root must verify.
+		s.allocSplitCounters()
 	}
-	//salus-lint:ignore simclock each Update sets one leaf, and the tree root does not depend on the order leaves are set in
-	for chunk := range touchedSplit {
-		if err := s.splitTree.Update(chunk, s.cxlSplit[chunk].Encode()); err != nil {
-			return nil, err
-		}
-	}
-	// Verify the replayed counter state against the TCB roots; a journal
-	// that replays cleanly but encodes different counters is a forgery.
-	if s.cxlTree.Root() != root.CXLRoot {
-		return nil, fmt.Errorf("%w: recovered counters do not match trusted root", ErrFreshness)
-	}
-	if root.HasSplit {
-		if s.splitTree == nil || s.splitTree.Root() != root.SplitRoot {
-			return nil, fmt.Errorf("%w: recovered split counters do not match trusted root", ErrFreshness)
-		}
-	} else if s.cxlSplit != nil {
-		return nil, fmt.Errorf("%w: journal carries split state the trusted root does not know", ErrFreshness)
-	}
-	if err := s.applyTrustedBadblocks(root); err != nil {
+	if err := s.restore(root, pages); err != nil {
 		return nil, err
 	}
-	s.epoch = root.Epoch
+	s.ckptDirty = make([]bool, cfg.TotalPages)
 	return s, nil
 }
 
@@ -396,43 +396,54 @@ func Recover(cfg Config, journal []byte, root TrustedRoot) (*System, error) {
 // right after Checkpoint, when the home tier is current.
 func (s *System) StateDigest() [32]byte {
 	h := sha256.New()
+	// The metadata is hashed a few bytes at a time; batching those
+	// writes through buf leaves the hashed byte stream unchanged.
+	buf := make([]byte, 0, 8<<10)
+	put := func(b []byte) {
+		if len(buf)+len(b) > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = append(buf, b...)
+	}
 	var tmp [8]byte
 	binary.LittleEndian.PutUint64(tmp[:], s.epoch)
 	h.Write(tmp[:])
 	h.Write(s.cxlData)
 	for i := range s.macSectors {
 		enc := s.macSectors[i].Encode()
-		h.Write(enc[:])
+		put(enc[:])
 	}
 	for i := range s.collapsed {
 		enc := s.collapsed[i].Encode()
-		h.Write(enc[:])
+		put(enc[:])
 	}
 	if s.cxlSplit != nil {
-		h.Write([]byte{1})
+		put([]byte{1})
 		for i := range s.cxlSplit {
 			enc := s.cxlSplit[i].Encode()
-			h.Write(enc[:])
+			put(enc[:])
 			if s.splitDirty[i] {
-				h.Write([]byte{1})
+				put([]byte{1})
 			} else {
-				h.Write([]byte{0})
+				put([]byte{0})
 			}
 		}
 	} else {
-		h.Write([]byte{0})
+		put([]byte{0})
 	}
 	writeInts := func(vs []int) {
 		binary.LittleEndian.PutUint64(tmp[:], uint64(len(vs)))
-		h.Write(tmp[:])
+		put(tmp[:])
 		for _, v := range vs {
 			binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-			h.Write(tmp[:])
+			put(tmp[:])
 		}
 	}
 	writeInts(s.PoisonedChunks())
 	writeInts(s.QuarantinedFrames())
 	writeInts(s.PinnedPages())
+	h.Write(buf)
 	var out [32]byte
 	h.Sum(out[:0])
 	return out

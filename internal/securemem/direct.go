@@ -37,16 +37,31 @@ func (s *System) ensureSplitState() error {
 	if s.splitArmed.Load() {
 		return nil
 	}
+	s.allocSplitCounters()
+	return s.armSplitState()
+}
+
+// allocSplitCounters allocates zeroed split counters and dirty flags
+// without the tree: the restore paths decode into them first and build
+// the tree once afterwards (armSplitState).
+func (s *System) allocSplitCounters() {
 	homeChunks := s.cfg.TotalPages * s.geo.ChunksPerPage()
-	cxlSplit := make([]counters.CXLSplitSector, homeChunks)
-	splitDirty := make([]bool, homeChunks)
-	splitTree, err := bmt.New(s.eng, homeChunks)
+	s.cxlSplit = make([]counters.CXLSplitSector, homeChunks)
+	s.splitDirty = make([]bool, homeChunks)
+}
+
+// armSplitState builds the split tree over the current split counters in
+// one pass and publishes the split state.
+func (s *System) armSplitState() error {
+	leaves := make([][bmt.LeafBytes]byte, len(s.cxlSplit))
+	for i := range s.cxlSplit {
+		leaves[i] = s.cxlSplit[i].Encode()
+	}
+	splitTree, err := bmt.Build(s.eng, leaves)
 	if err != nil {
 		return err
 	}
-	splitTree.SetTrustCache(4096)
-	s.cxlSplit = cxlSplit
-	s.splitDirty = splitDirty
+	splitTree.SetTrustCache(trustCacheEntries)
 	s.splitTree = splitTree
 	s.splitArmed.Store(true)
 	return nil

@@ -1,6 +1,7 @@
 package securemem
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/salus-sim/salus/internal/config"
@@ -12,7 +13,10 @@ import (
 // explicitly untrusted storage, and a marshalled TrustedRoot blob may be
 // damaged in transit even though an undamaged one is trusted); the
 // contract under fuzzing is: never panic, never mis-index — reject with
-// an error or produce a system whose reads verify.
+// an error or produce a system whose reads verify. Both restore over a
+// Backing twin holding a live engine's bytes, the way a tenant pool
+// recovers into the window its current engine serves from, and a
+// rejected input must leave every byte of the twin as it was.
 
 func fuzzCfg() Config {
 	return Config{
@@ -38,8 +42,33 @@ func fuzzSeedSystem(f *testing.F) *System {
 	return s
 }
 
+// liveTwin returns a Backing for fuzzCfg holding copies of s's home and
+// device bytes: the window a live engine serves from.
+func liveTwin(s *System) *Backing {
+	return &Backing{
+		Home:   bytes.Clone(s.cxlData),
+		Device: bytes.Clone(s.devData),
+	}
+}
+
+// restoreIntoTwin runs restore (Recover or Resume) over a fresh copy of
+// live and fails t if a rejected input wrote any byte of it.
+func restoreIntoTwin(t *testing.T, live *Backing, restore func(Config) (*System, error)) *System {
+	cfg := fuzzCfg()
+	cfg.Backing = &Backing{Home: bytes.Clone(live.Home), Device: bytes.Clone(live.Device)}
+	r, err := restore(cfg)
+	if err != nil {
+		if !bytes.Equal(cfg.Backing.Home, live.Home) || !bytes.Equal(cfg.Backing.Device, live.Device) {
+			t.Fatalf("rejected input (%v) wrote the backing", err)
+		}
+		return nil
+	}
+	return r
+}
+
 func FuzzResume(f *testing.F) {
 	s := fuzzSeedSystem(f)
+	live := liveTwin(s)
 	image, root, err := s.Suspend()
 	if err != nil {
 		f.Fatal(err)
@@ -55,8 +84,8 @@ func FuzzResume(f *testing.F) {
 		if err != nil {
 			root = TrustedRoot{}
 		}
-		r, err := Resume(fuzzCfg(), img, root)
-		if err != nil {
+		r := restoreIntoTwin(t, live, func(cfg Config) (*System, error) { return Resume(cfg, img, root) })
+		if r == nil {
 			return
 		}
 		// A resume that was accepted must be fully readable or fail with
@@ -70,6 +99,7 @@ func FuzzResume(f *testing.F) {
 
 func FuzzRecover(f *testing.F) {
 	s := fuzzSeedSystem(f)
+	live := liveTwin(s)
 	store := crash.NewMemStore()
 	j := crash.NewJournal(store)
 	root1, err := s.Checkpoint(j)
@@ -89,14 +119,15 @@ func FuzzRecover(f *testing.F) {
 	f.Add(epoch1, root2.MarshalBinary())             // stale journal: ErrRollback path
 	f.Add(store.Bytes()[:30], root2.MarshalBinary()) // torn path
 	f.Add([]byte{}, root1.MarshalBinary())
+	f.Add(epoch1, []byte("SROOT1 damaged")) // replays, then fails the root check
 
 	f.Fuzz(func(t *testing.T, journal, rb []byte) {
 		root, err := UnmarshalTrustedRoot(rb)
 		if err != nil {
 			root = TrustedRoot{Epoch: 1}
 		}
-		r, err := Recover(fuzzCfg(), journal, root)
-		if err != nil {
+		r := restoreIntoTwin(t, live, func(cfg Config) (*System, error) { return Recover(cfg, journal, root) })
+		if r == nil {
 			return
 		}
 		buf := make([]byte, 64)

@@ -68,10 +68,6 @@ func (s *System) ReKey(newAESKey, newMACKey []byte) error {
 				return err
 			}
 		}
-		s.cxlTree, err = bmt.New(s.eng, len(s.collapsed))
-		if err != nil {
-			return err
-		}
 		devChunks := s.cfg.DevicePages * s.geo.ChunksPerPage()
 		for i := range s.devGroups {
 			s.devGroups[i] = counters.IFGroup{}
@@ -86,10 +82,6 @@ func (s *System) ReKey(newAESKey, newMACKey []byte) error {
 		}
 		for i := range s.convDevCtrs {
 			s.convDevCtrs[i] = counters.ConventionalSector{}
-		}
-		s.convCXLTree, err = bmt.New(s.eng, len(s.convCXLCtrs))
-		if err != nil {
-			return err
 		}
 		s.convDevTree, err = bmt.New(s.eng, len(s.convDevCtrs))
 		if err != nil {
@@ -115,7 +107,7 @@ func (s *System) ReKey(newAESKey, newMACKey []byte) error {
 	}
 	bumpN(&s.stats.OverflowReEncryptions, uint64(nSectors))
 	bump(&s.stats.KeyRotations)
-	return s.rebuildHomeTrees()
+	return s.buildHomeTrees()
 }
 
 // currentHomePair is homeCounterPair plus split-state awareness, used by

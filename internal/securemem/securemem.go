@@ -266,10 +266,49 @@ type System struct {
 	stats OpStats
 }
 
+// trustCacheEntries sizes the trusted-node caches that accelerate
+// repeated tree verifications (models the hardware BMT caches).
+const trustCacheEntries = 4096
+
 // New builds a System. All pages start zero-filled and resident only in the
 // home tier, already encrypted under the initial counters for the secure
 // models.
 func New(cfg Config) (*System, error) {
+	s, err := newSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Backing != nil {
+		// Shared backing: the engine's starting-state contract (zero
+		// plaintext) requires both tiers zeroed, and a re-created tenant
+		// engine inherits whatever its predecessor left behind.
+		clear(s.cxlData)
+		clear(s.devData)
+	}
+	if s.cfg.Model == ModelNone {
+		return s, nil
+	}
+	if err := s.writeHome(nil); err != nil {
+		return nil, err
+	}
+	if err := s.buildHomeTrees(); err != nil {
+		return nil, err
+	}
+	// Allocated after writeHome so the deterministic initial state counts
+	// as clean: untouched pages need no journal records.
+	if s.cfg.Model == ModelSalus {
+		s.ckptDirty = make([]bool, s.cfg.TotalPages)
+	}
+	return s, nil
+}
+
+// newSystem validates cfg and allocates a System's structures with every
+// counter at zero, without writing a byte of the backing and without the
+// home trees: New encrypts the home tier and then builds them, while the
+// restore paths (Recover, Resume) first decode untrusted metadata into
+// the counters, build and verify the trees, and only then write the
+// backing (see restore).
+func newSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -284,16 +323,12 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	g := cfg.Geometry
-	cxlData := make([]byte, cfg.TotalPages*g.PageSize)
-	devData := make([]byte, cfg.DevicePages*g.PageSize)
+	var cxlData, devData []byte
 	if cfg.Backing != nil {
-		// Shared backing: adopt the caller's windows. The engine's
-		// starting-state contract (initialEncrypt assumes zero plaintext)
-		// requires both tiers zeroed, and a recovered or re-created
-		// tenant engine inherits whatever its predecessor left behind.
 		cxlData, devData = cfg.Backing.Home, cfg.Backing.Device
-		clear(cxlData)
-		clear(devData)
+	} else {
+		cxlData = make([]byte, cfg.TotalPages*g.PageSize)
+		devData = make([]byte, cfg.DevicePages*g.PageSize)
 	}
 	s := &System{
 		cfg:       cfg,
@@ -313,9 +348,6 @@ func New(cfg Config) (*System, error) {
 	for i := range s.pageTable {
 		s.pageTable[i] = -1
 	}
-	// Size of the trusted-node caches that accelerate repeated tree
-	// verifications (models the hardware BMT caches).
-	const trustCacheEntries = 4096
 	switch cfg.Model {
 	case ModelNone:
 		// Plaintext; nothing else to set up.
@@ -324,24 +356,13 @@ func New(cfg Config) (*System, error) {
 		homeChunks := cfg.TotalPages * g.ChunksPerPage()
 		s.macSectors = make([]maclib.Sector, homeBlocks)
 		s.collapsed = make([]counters.CollapsedSector, (homeChunks+counters.CollapsedMajors-1)/counters.CollapsedMajors)
-		s.cxlTree, err = bmt.New(eng, len(s.collapsed))
-		if err != nil {
-			return nil, err
-		}
 		devChunks := cfg.DevicePages * g.ChunksPerPage()
 		s.devGroups = make([]counters.IFGroup, devChunks)
 		s.devTree, err = bmt.New(eng, (devChunks+counters.GroupsPerSector-1)/counters.GroupsPerSector)
 		if err != nil {
 			return nil, err
 		}
-		s.cxlTree.SetTrustCache(trustCacheEntries)
 		s.devTree.SetTrustCache(trustCacheEntries)
-		if err := s.initialEncrypt(); err != nil {
-			return nil, err
-		}
-		// Allocated after initialEncrypt so the deterministic initial
-		// state counts as clean: untouched pages need no journal records.
-		s.ckptDirty = make([]bool, cfg.TotalPages)
 	case ModelConventional:
 		homeSectors := cfg.TotalPages * g.SectorsPerPage()
 		devSectors := cfg.DevicePages * g.SectorsPerPage()
@@ -349,44 +370,43 @@ func New(cfg Config) (*System, error) {
 		s.convDevCtrs = make([]counters.ConventionalSector, (devSectors+counters.ConvMinors-1)/counters.ConvMinors)
 		s.convCXLMACs = make([]uint64, homeSectors)
 		s.convDevMACs = make([]uint64, devSectors)
-		s.convCXLTree, err = bmt.New(eng, len(s.convCXLCtrs))
-		if err != nil {
-			return nil, err
-		}
 		s.convDevTree, err = bmt.New(eng, len(s.convDevCtrs))
 		if err != nil {
 			return nil, err
 		}
-		s.convCXLTree.SetTrustCache(trustCacheEntries)
 		s.convDevTree.SetTrustCache(trustCacheEntries)
-		if err := s.initialEncrypt(); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("securemem: unknown model %d", cfg.Model)
 	}
 	return s, nil
 }
 
-// initialEncrypt converts the zero-filled home store into valid ciphertext
-// under the initial (zero) counters, with matching MACs, so that the very
-// first read of any sector verifies. Both secure models start with every
-// (major, minor) pair at zero, so whole pages encrypt through the batch
-// path (one IV encode per run) and the MACs ride a pinned Session scratch.
-func (s *System) initialEncrypt() error {
+// writeHome writes every home page of a secure model's backing: the
+// ciphertext pages[p] where one is given (a restored page, whose MACs and
+// counters were decoded with it), and otherwise the initial state — zero
+// plaintext encrypted under the initial (zero) counters, with matching
+// MACs, so that the very first read of any sector verifies. The initial
+// state is a deterministic function of the keys. Both secure models start
+// with every (major, minor) pair at zero, so whole pages encrypt through
+// the batch path (one IV encode per run) and the MACs ride a pinned
+// Session scratch. New passes nil pages: everything is initial.
+func (s *System) writeHome(pages [][]byte) error {
 	ss := s.geo.SectorSize
 	ps := s.geo.PageSize
 	spp := s.geo.SectorsPerPage()
-	buf := make([]byte, ps)
+	zero := make([]byte, ps)
 	minors := make([]uint64, spp)
 	sess := s.eng.NewSession()
 	for page := 0; page < s.cfg.TotalPages; page++ {
 		base := page * ps
 		pg := s.cxlData[base : base+ps]
-		if err := s.eng.EncryptSectors(buf, pg, uint64(base), 0, minors); err != nil {
+		if page < len(pages) && pages[page] != nil {
+			copy(pg, pages[page])
+			continue
+		}
+		if err := s.eng.EncryptSectors(pg, zero, uint64(base), 0, minors); err != nil {
 			return err
 		}
-		copy(pg, buf)
 		for i := 0; i < spp; i++ {
 			addr := HomeAddr(base + i*ss)
 			mac, err := sess.MAC(pg[i*ss:(i+1)*ss], uint64(addr), 0, 0)
@@ -398,7 +418,7 @@ func (s *System) initialEncrypt() error {
 			}
 		}
 	}
-	return s.rebuildHomeTrees()
+	return nil
 }
 
 // homeCounterPair returns the current (major, minor) for a home-tier
@@ -446,22 +466,29 @@ func (s *System) homeMAC(addr HomeAddr) uint64 {
 	return 0
 }
 
-// rebuildHomeTrees refreshes the home-tier integrity trees after bulk
-// initialisation.
-func (s *System) rebuildHomeTrees() error {
+// buildHomeTrees builds the home-tier integrity trees over the current
+// home counters in one pass, replacing any existing ones.
+func (s *System) buildHomeTrees() error {
+	var err error
 	switch s.cfg.Model {
 	case ModelSalus:
+		leaves := make([][bmt.LeafBytes]byte, len(s.collapsed))
 		for i := range s.collapsed {
-			if err := s.cxlTree.Update(i, s.collapsed[i].Encode()); err != nil {
-				return err
-			}
+			leaves[i] = s.collapsed[i].Encode()
 		}
+		if s.cxlTree, err = bmt.Build(s.eng, leaves); err != nil {
+			return err
+		}
+		s.cxlTree.SetTrustCache(trustCacheEntries)
 	case ModelConventional:
+		leaves := make([][bmt.LeafBytes]byte, len(s.convCXLCtrs))
 		for i := range s.convCXLCtrs {
-			if err := s.convCXLTree.Update(i, s.convCXLCtrs[i].Encode()); err != nil {
-				return err
-			}
+			leaves[i] = s.convCXLCtrs[i].Encode()
 		}
+		if s.convCXLTree, err = bmt.Build(s.eng, leaves); err != nil {
+			return err
+		}
+		s.convCXLTree.SetTrustCache(trustCacheEntries)
 	}
 	return nil
 }

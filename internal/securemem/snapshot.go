@@ -115,22 +115,30 @@ func (s *System) Suspend() (image []byte, root TrustedRoot, err error) {
 
 // Resume reconstructs a suspended system. cfg and the keys must match the
 // suspended system's; the image is untrusted and is verified against the
-// trusted root before use.
+// trusted root before use. Like Recover it restores in one pass and writes
+// no byte of cfg.Backing before the image's counters verify; the image
+// covers every page, so no page needs the initial encryption.
 func Resume(cfg Config, image []byte, root TrustedRoot) (*System, error) {
 	if cfg.Model != ModelSalus {
 		return nil, errors.New("securemem: Resume requires ModelSalus")
 	}
-	s, err := New(cfg)
+	s, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := bytes.NewReader(image)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, snapshotMagic) {
+	if !bytes.HasPrefix(image, snapshotMagic) {
 		return nil, fmt.Errorf("%w: not a salus image", ErrImageMismatch)
 	}
-	var hasSplit uint64
-	rd64 := func(v *uint64) error { return binary.Read(r, binary.LittleEndian, v) }
+	rest := image[len(snapshotMagic):]
+	// take consumes the next n image bytes, aliasing the image.
+	take := func(n int) ([]byte, bool) {
+		if len(rest) < n {
+			return nil, false
+		}
+		b := rest[:n]
+		rest = rest[n:]
+		return b, true
+	}
 	// The header pins every dimension the section offsets depend on; a
 	// disagreement with cfg means the image belongs to a different system
 	// and slicing it with cfg's layout would mis-index.
@@ -146,82 +154,112 @@ func Resume(cfg Config, image []byte, root TrustedRoot) (*System, error) {
 		{"page size", cfg.Geometry.PageSize},
 	}
 	for _, d := range dims {
-		var v uint64
-		if err := rd64(&v); err != nil {
+		b, ok := take(8)
+		if !ok {
 			return nil, fmt.Errorf("%w: truncated header", ErrImageMismatch)
 		}
-		if v != uint64(d.want) {
+		if v := binary.LittleEndian.Uint64(b); v != uint64(d.want) {
 			return nil, fmt.Errorf("%w: image %s %d, config %d", ErrImageMismatch, d.name, v, d.want)
 		}
 	}
-	if _, err := io.ReadFull(r, s.cxlData); err != nil {
-		return nil, fmt.Errorf("securemem: truncated data section: %v", err)
+	ps := cfg.Geometry.PageSize
+	data, ok := take(len(s.cxlData))
+	if !ok {
+		return nil, fmt.Errorf("securemem: truncated data section: %v", io.ErrUnexpectedEOF)
 	}
-	var sector [32]byte
+	pages := make([][]byte, cfg.TotalPages)
+	for p := range pages {
+		pages[p] = data[p*ps : (p+1)*ps]
+	}
 	for i := range s.macSectors {
-		if _, err := io.ReadFull(r, sector[:]); err != nil {
-			return nil, fmt.Errorf("securemem: truncated MAC section: %v", err)
+		b, ok := take(32)
+		if !ok {
+			return nil, fmt.Errorf("securemem: truncated MAC section: %v", io.ErrUnexpectedEOF)
 		}
-		s.macSectors[i] = maclib.Decode(sector)
+		s.macSectors[i] = maclib.Decode([32]byte(b))
 	}
 	for i := range s.collapsed {
-		if _, err := io.ReadFull(r, sector[:]); err != nil {
-			return nil, fmt.Errorf("securemem: truncated counter section: %v", err)
+		b, ok := take(32)
+		if !ok {
+			return nil, fmt.Errorf("securemem: truncated counter section: %v", io.ErrUnexpectedEOF)
 		}
-		s.collapsed[i] = counters.DecodeCollapsed(sector)
-		if err := s.cxlTree.Update(i, sector); err != nil {
-			return nil, err
-		}
+		s.collapsed[i] = counters.DecodeCollapsed([32]byte(b))
 	}
-	if err := rd64(&hasSplit); err != nil {
-		return nil, err
+	b, ok := take(8)
+	if !ok {
+		return nil, fmt.Errorf("securemem: truncated split flag: %v", io.ErrUnexpectedEOF)
 	}
+	hasSplit := binary.LittleEndian.Uint64(b)
 	if hasSplit == 1 {
-		if err := s.ensureSplitState(); err != nil {
-			return nil, err
-		}
+		s.allocSplitCounters()
 		for i := range s.cxlSplit {
-			if _, err := io.ReadFull(r, sector[:]); err != nil {
-				return nil, fmt.Errorf("securemem: truncated split section: %v", err)
+			b, ok := take(32)
+			if !ok {
+				return nil, fmt.Errorf("securemem: truncated split section: %v", io.ErrUnexpectedEOF)
 			}
-			s.cxlSplit[i] = counters.DecodeCXLSplit(sector)
-			if err := s.splitTree.Update(i, sector); err != nil {
-				return nil, err
-			}
+			s.cxlSplit[i] = counters.DecodeCXLSplit([32]byte(b))
 		}
-		dirt := make([]byte, len(s.splitDirty))
-		if _, err := io.ReadFull(r, dirt); err != nil {
-			return nil, fmt.Errorf("securemem: truncated split-dirty section: %v", err)
+		dirt, ok := take(len(s.splitDirty))
+		if !ok {
+			return nil, fmt.Errorf("securemem: truncated split-dirty section: %v", io.ErrUnexpectedEOF)
 		}
 		for i, b := range dirt {
 			s.splitDirty[i] = b == 1
 		}
 	}
-	// Verify the rebuilt trees against the trusted root. A tampered or
-	// replayed counter section produces a different root and is rejected
-	// here; tampered data or MAC sections are caught by MAC verification
-	// on first access.
-	if s.cxlTree.Root() != root.CXLRoot {
-		return nil, fmt.Errorf("%w: counter image does not match trusted root", ErrFreshness)
-	}
-	if root.HasSplit {
-		if s.splitTree == nil || s.splitTree.Root() != root.SplitRoot {
-			return nil, fmt.Errorf("%w: split-counter image does not match trusted root", ErrFreshness)
-		}
-	} else if hasSplit == 1 {
-		return nil, fmt.Errorf("%w: image carries split state the trusted root does not know", ErrFreshness)
-	}
-	if err := s.applyTrustedBadblocks(root); err != nil {
+	// A tampered or replayed counter section produces a different root
+	// and is rejected by restore; tampered data or MAC sections are
+	// caught by MAC verification on first access.
+	if err := s.restore(root, pages); err != nil {
 		return nil, err
 	}
-	s.epoch = root.Epoch
 	// The image restored pages the deterministic initial encryption knows
 	// nothing about; any journal the caller checkpoints to next must carry
 	// them all.
+	s.ckptDirty = make([]bool, cfg.TotalPages)
 	for i := range s.ckptDirty {
 		s.ckptDirty[i] = true
 	}
 	return s, nil
+}
+
+// restore finishes a System whose home counters, MAC sectors and split
+// state were decoded from an untrusted journal or image (shared by
+// Recover and Resume). It builds the home trees once, verifies them
+// against the trusted root, applies the trusted badblocks, and only then
+// writes the backing: pages[p] where the restore carries page p, the
+// deterministic initial encryption where pages[p] is nil. Every refusal
+// returns before the first backing write, so a refused restore over a
+// shared Backing leaves the bytes a live engine serves from untouched.
+func (s *System) restore(root TrustedRoot, pages [][]byte) error {
+	if err := s.buildHomeTrees(); err != nil {
+		return err
+	}
+	if s.cxlTree.Root() != root.CXLRoot {
+		return fmt.Errorf("%w: restored counters do not match trusted root", ErrFreshness)
+	}
+	switch {
+	case root.HasSplit && s.cxlSplit == nil:
+		return fmt.Errorf("%w: trusted root has split state the restore lacks", ErrFreshness)
+	case !root.HasSplit && s.cxlSplit != nil:
+		return fmt.Errorf("%w: restore carries split state the trusted root does not know", ErrFreshness)
+	case root.HasSplit:
+		if err := s.armSplitState(); err != nil {
+			return err
+		}
+		if s.splitTree.Root() != root.SplitRoot {
+			return fmt.Errorf("%w: restored split counters do not match trusted root", ErrFreshness)
+		}
+	}
+	if err := s.applyTrustedBadblocks(root); err != nil {
+		return err
+	}
+	s.epoch = root.Epoch
+	// Verified: from here on the backing is written.
+	if s.cfg.Backing != nil {
+		clear(s.devData)
+	}
+	return s.writeHome(pages)
 }
 
 // applyTrustedBadblocks restores the fault-containment badblock list from

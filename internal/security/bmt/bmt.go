@@ -49,13 +49,25 @@ type Tree struct {
 
 // New builds a tree over initially zeroed leaves.
 func New(eng *cryptoeng.Engine, nLeaves int) (*Tree, error) {
-	if eng == nil {
-		return nil, errors.New("bmt: nil engine")
-	}
 	if nLeaves <= 0 {
 		return nil, fmt.Errorf("bmt: leaf count %d must be positive", nLeaves)
 	}
-	t := &Tree{eng: eng, nLeaves: nLeaves, leafData: make([][LeafBytes]byte, nLeaves)}
+	return Build(eng, make([][LeafBytes]byte, nLeaves))
+}
+
+// Build builds a tree over the given leaf data in one bottom-up pass,
+// hashing every node exactly once. The tree adopts leaves. Its root
+// equals that of a New tree whose every leaf was then Updated to the
+// same data, at a fraction of the hashing.
+func Build(eng *cryptoeng.Engine, leaves [][LeafBytes]byte) (*Tree, error) {
+	if eng == nil {
+		return nil, errors.New("bmt: nil engine")
+	}
+	nLeaves := len(leaves)
+	if nLeaves == 0 {
+		return nil, errors.New("bmt: leaf count 0 must be positive")
+	}
+	t := &Tree{eng: eng, nLeaves: nLeaves, leafData: leaves}
 	// Build level sizes.
 	for n := nLeaves; ; n = (n + Arity - 1) / Arity {
 		t.levels = append(t.levels, make([][32]byte, n))
@@ -120,12 +132,12 @@ func (t *Tree) rehashNode(lvl, i int) {
 	if last > len(t.levels[lvl-1]) {
 		last = len(t.levels[lvl-1])
 	}
-	var buf []byte
+	var buf [Arity * 32]byte
+	n := 0
 	for c := first; c < last; c++ {
-		h := t.levels[lvl-1][c]
-		buf = append(buf, h[:]...)
+		n += copy(buf[n:], t.levels[lvl-1][c][:])
 	}
-	t.levels[lvl][i] = t.eng.HashNode(buf, lvl, i)
+	t.levels[lvl][i] = t.eng.HashNode(buf[:n], lvl, i)
 }
 
 // Update installs new leaf data and recomputes the path to the root. This

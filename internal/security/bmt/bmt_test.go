@@ -283,3 +283,41 @@ func TestVerifyCachedWithoutCacheEqualsVerify(t *testing.T) {
 		t.Error("out-of-range accepted")
 	}
 }
+
+// TestBuildEqualsUpdatedTree pins Build to the incremental path: a tree
+// built in one pass over given leaves has the root (and verifies every
+// leaf) exactly as a zero tree whose leaves were each Updated to them.
+func TestBuildEqualsUpdatedTree(t *testing.T) {
+	e := newEngine(t)
+	for _, n := range []int{1, 7, 8, 9, 64, 65, 513} {
+		leaves := make([][LeafBytes]byte, n)
+		updated, err := New(e, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range leaves {
+			leaves[i][0], leaves[i][31] = byte(i), byte(i>>8)+1
+			if err := updated.Update(i, leaves[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built, err := Build(e, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built.Root() != updated.Root() {
+			t.Fatalf("%d leaves: Build root differs from the updated tree's", n)
+		}
+		for _, i := range []int{0, n / 2, n - 1} {
+			if err := built.Verify(i, leaves[i]); err != nil {
+				t.Fatalf("%d leaves: built leaf %d fails: %v", n, i, err)
+			}
+		}
+	}
+	if _, err := Build(e, nil); err == nil {
+		t.Error("empty leaf set accepted")
+	}
+	if _, err := Build(nil, make([][LeafBytes]byte, 4)); err == nil {
+		t.Error("nil engine accepted")
+	}
+}

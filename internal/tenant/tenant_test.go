@@ -318,9 +318,69 @@ func TestBlastRadiusCheckpointRecover(t *testing.T) {
 		t.Fatalf("b read %q, want %q", got, msgB)
 	}
 
-	// Recovery against the wrong root is refused typed, not applied.
-	if err := p.RecoverTenant("b", storeA.Bytes(), rootA); err == nil {
-		t.Fatal("b recovered from a's journal: lineages not independent")
+	// Recovery against the wrong root is refused typed, not applied: b
+	// still reads its own bytes and its digest has not moved.
+	if err := p.RecoverTenant("b", storeA.Bytes(), rootA); !errors.Is(err, securemem.ErrFreshness) {
+		t.Fatalf("b recovered from a's journal: got %v, want ErrFreshness", err)
+	}
+	if b.StateDigest() != digestB {
+		t.Fatal("refused recovery moved b's digest")
+	}
+	if err := b.Read(8*4096, got); err != nil || !bytes.Equal(got, msgB) {
+		t.Fatalf("b after refused recovery: read %q, err %v", got, err)
+	}
+}
+
+// TestRefusedRecoverLeavesTenantServing pins the verify-before-write
+// order of a tenant recovery: a journal and root that fail verification
+// (here a sibling's, refused ErrFreshness) must not write a byte of the
+// live tenant's shared backing window, so every page it holds still
+// reads back and verifies — including pages never written, which hold
+// the initial encryption.
+func TestRefusedRecoverLeavesTenantServing(t *testing.T) {
+	p := newTestPool(t)
+	a, b := tn(t, p, "a"), tn(t, p, "b")
+	if err := a.Write(0, []byte("a's state")); err != nil {
+		t.Fatal(err)
+	}
+	want := map[securemem.HomeAddr][]byte{}
+	for page := 8; page < 16; page += 3 {
+		addr := securemem.HomeAddr(page*4096 + 200)
+		want[addr] = bytes.Repeat([]byte{byte(page)}, 40)
+		if err := b.Write(addr, want[addr]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Checkpoint b so its home tier is current and its digest stable.
+	if _, err := b.Checkpoint(crash.NewJournal(crash.NewMemStore())); err != nil {
+		t.Fatal(err)
+	}
+	storeA := crash.NewMemStore()
+	rootA, err := a.Checkpoint(crash.NewJournal(storeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digestB := b.StateDigest()
+
+	if err := p.RecoverTenant("b", storeA.Bytes(), rootA); !errors.Is(err, securemem.ErrFreshness) {
+		t.Fatalf("b recovered from a's journal: got %v, want ErrFreshness", err)
+	}
+	if b.Stats().Recovers != 0 {
+		t.Fatal("refused recovery counted")
+	}
+	if b.StateDigest() != digestB {
+		t.Fatal("refused recovery moved b's digest")
+	}
+	got := make([]byte, 40)
+	for addr, data := range want {
+		if err := b.Read(addr, got); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("b @%d after refused recovery: read %q, err %v", addr, got, err)
+		}
+	}
+	for page := 9; page < 16; page += 3 {
+		if err := b.Read(securemem.HomeAddr(page*4096), got); err != nil {
+			t.Fatalf("b untouched page %d after refused recovery: %v", page, err)
+		}
 	}
 }
 
